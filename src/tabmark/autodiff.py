@@ -261,19 +261,21 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 # -- fused ops ----------------------------------------------------------------
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """softmax(scores + mask) rows; mask entries are 0 or NEG_INF.
+def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> Tensor:
+    """softmax(scores + mask) rows; mask entries are 0 or NEG_INF, None for no mask.
 
     Rejects rows with no unmasked entry.  With NEG_INF and the row-max shift,
     masked probabilities underflow to exactly 0.0, so masked positions
     contribute nothing in either direction of the pass.
     """
     scores = as_tensor(scores)
-    if mask.shape != scores.data.shape[-2:]:
-        raise ValueError(f"mask shape {mask.shape} != scores shape {scores.data.shape[-2:]}")
-    if not np.all(np.any(mask == 0.0, axis=-1)):
-        raise ValueError("attention mask has a fully masked query row")
-    z = scores.data + mask
+    z = scores.data
+    if mask is not None:
+        if mask.shape != z.shape[-2:]:
+            raise ValueError(f"mask shape {mask.shape} != scores shape {z.shape[-2:]}")
+        if not np.all(np.any(mask == 0.0, axis=-1)):
+            raise ValueError("attention mask has a fully masked query row")
+        z = z + mask
     z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
     p = p / p.sum(axis=-1, keepdims=True)

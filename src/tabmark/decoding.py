@@ -19,7 +19,14 @@ import numpy as np
 from . import autodiff as ad
 from . import synth
 from . import vocab as V
-from .model import CellBox, StructFeatures, TableModel, array_to_boxes, cell_buffer_layout
+from .model import (
+    CellBox,
+    DecodeCache,
+    StructFeatures,
+    TableModel,
+    array_to_boxes,
+    cell_buffer_layout,
+)
 
 
 @dataclass
@@ -110,14 +117,16 @@ def decode_html(model: TableModel, img_feats) -> HtmlDecode:
     (what the fetcher consumes).  Without truncation the pass count is the
     emitted length + 1 (one per token plus the EOS pass); on truncation it is
     the emitted length, and one extra untimed forward aligns the features.
+    Every pass scores only the newest position (see DecodeCache).
     """
+    memory = DecodeCache(img_feats)
     sv = V.STRUCTURE
     buf = [sv.sos]
     passes = 0
     truncated = False
     with ad.no_grad():
         while True:
-            logits, hidden = model.html_step(buf, "ltor", img_feats)
+            logits, hidden = model.html_step(buf, "ltor", memory)
             passes += 1
             token = int(np.argmax(logits.data[-1]))
             if token == sv.eos:
@@ -125,7 +134,7 @@ def decode_html(model: TableModel, img_feats) -> HtmlDecode:
             buf.append(token)
             if len(buf) >= model.cfg.struct_cap:
                 truncated = True
-                _, hidden = model.html_step(buf, "ltor", img_feats)
+                _, hidden = model.html_step(buf, "ltor", memory)
                 break
         body = buf[1:]
         token_hidden = ad.take_rows(hidden, np.arange(1, len(buf)))
@@ -158,6 +167,8 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
     is read at the position before its trailing SEP and (argmax, lowest id on
     ties) either inserted there or, when it is SEP, freezes the cell.  All
     reads use the pass-start logits, then insertions apply in cell order.
+    Every pass scores only the positions inserted since the last one (see
+    DecodeCache).
     """
     n = cond.shape[0]
     if n == 0:
@@ -165,6 +176,7 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
     step = step_fn or model.cell_step
     cap = model.cfg.content_cap
     state = DecodeState.initial(n)
+    memory = DecodeCache(img_feats)
     truncated = False
     with ad.no_grad():
         while True:
@@ -177,7 +189,7 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
                     state.freeze(k)
                 break
             layout = cell_buffer_layout(state.buffer, n)
-            logits = _logits_of(step(state.buffer, layout, cond, img_feats))
+            logits = _logits_of(step(state.buffer, layout, cond, memory))
             state.passes += 1
             decisions = [
                 (k, int(np.argmax(logits[state.read_position(k)]))) for k in active
@@ -192,13 +204,18 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
 
 
 def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
-    """Decode the concatenated stream one token per pass, cell after cell."""
+    """Decode the concatenated stream one token per pass, cell after cell.
+
+    Every pass scores only the position inserted by the last one (see
+    DecodeCache).
+    """
     n = cond.shape[0]
     if n == 0:
         return CellDecode([], 0, False)
     step = step_fn or model.cell_step
     cap = model.cfg.content_cap
     state = DecodeState.initial(n)
+    memory = DecodeCache(img_feats)
     truncated = False
     with ad.no_grad():
         for k in range(n):
@@ -209,7 +226,7 @@ def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) ->
                         state.freeze(j)
                     break
                 layout = cell_buffer_layout(state.buffer, n)
-                logits = _logits_of(step(state.buffer, layout, cond, img_feats))
+                logits = _logits_of(step(state.buffer, layout, cond, memory))
                 state.passes += 1
                 token = int(np.argmax(logits[state.read_position(k)]))
                 if token in _CELL_STOP:

@@ -1,8 +1,9 @@
 """Attention building blocks: positional codes, masks, multi-head attention,
 feed-forward and pre-norm residual blocks, plus parameter bookkeeping.
 
-Masks are additive numpy matrices with entries in {0, NEG_INF}.  The scaled
-dot product divides by sqrt(d/heads), i.e. the per-head channel count.
+Masks are additive numpy matrices with entries in {0, NEG_INF}; None stands
+for no mask.  The scaled dot product divides by sqrt(d/heads), i.e. the
+per-head channel count.
 """
 
 from __future__ import annotations
@@ -160,25 +161,30 @@ class MultiHeadAttention:
         # (n, d) -> (heads, n, dh)
         return ad.swapaxes(ad.reshape(x, (n, self.heads, self.dh)), 0, 1)
 
-    def __call__(self, x: Tensor, y: Tensor, mask: np.ndarray) -> Tensor:
-        n, m = x.shape[0], y.shape[0]
+    def _project(self, y: Tensor) -> tuple[Tensor, Tensor]:
+        m = y.shape[0]
+        return self._split(ad.matmul(y, self.wk), m), self._split(ad.matmul(y, self.wv), m)
+
+    def __call__(self, x: Tensor, y: Tensor, mask: np.ndarray | None = None, past=None) -> Tensor:
+        """Queries from x, keys and values from y; mask None means no mask.
+
+        past, when given, keeps the keys and values of earlier calls: it is
+        called as past(y, project) and returns the (heads, m, dh) keys and
+        values of all m key positions, projecting with project(rows) only
+        what it does not hold yet (see model.DecodeCache).
+        """
+        n = x.shape[0]
         if x.shape[-1] != self.d or y.shape[-1] != self.d:
             raise ValueError("attention input channel mismatch")
-        if mask.shape != (n, m):
-            raise ValueError(f"mask shape {mask.shape}, expected {(n, m)}")
         q = self._split(ad.matmul(x, self.wq), n)
-        k = self._split(ad.matmul(y, self.wk), m)
-        v = self._split(ad.matmul(y, self.wv), m)
+        k, v = self._project(y) if past is None else past(y, self._project)
+        if mask is not None and mask.shape != (n, k.shape[1]):
+            raise ValueError(f"mask shape {mask.shape}, expected {(n, k.shape[1])}")
         scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / np.sqrt(self.dh))
         weights = ad.masked_softmax(scores, mask)
         ctx = ad.matmul(weights, v)  # (heads, n, dh)
         merged = ad.reshape(ad.swapaxes(ctx, 0, 1), (n, self.d))
         return ad.matmul(merged, self.wo)
-
-
-def attention(x: Tensor, y: Tensor, params: MultiHeadAttention, mask: np.ndarray) -> Tensor:
-    """Functional form of the attention operator."""
-    return params(x, y, mask)
 
 
 class FeedForward:
@@ -203,14 +209,17 @@ class DecoderBlock:
         self.ln3 = LayerNorm(ps, f"{name}.ln3", d)
         self.ffn = FeedForward(ps, f"{name}.ffn", d, mult)
 
-    def __call__(self, x: Tensor, self_mask: np.ndarray, memory: Tensor | None = None) -> Tensor:
+    def __call__(
+        self, x: Tensor, self_mask: np.ndarray | None, memory=None, past=(None, None)
+    ) -> Tensor:
+        """past: the (self-attention, cross-attention) key stores of a
+        DecodeCache, forwarded to the attention layers; (None, None) without."""
+        self_past, cross_past = past
         h = self.ln1(x)
-        x = ad.add(x, self.self_attn(h, h, self_mask))
+        x = ad.add(x, self.self_attn(h, h, self_mask, past=self_past))
         if self.cross_attn is not None:
             if memory is None:
                 raise ValueError("cross-attention block needs memory")
-            x = ad.add(
-                x, self.cross_attn(self.ln2(x), memory, zero_mask(x.shape[0], memory.shape[0]))
-            )
+            x = ad.add(x, self.cross_attn(self.ln2(x), memory, None, past=cross_past))
         x = ad.add(x, self.ffn(self.ln3(x)))
         return x

@@ -13,6 +13,18 @@ decoding):
   token it predicts: SOS carries cell 0, a content token of cell j carries
   cell j, the k-th SEP carries cell k+1 (the zero vector past the last cell).
 - Relative positions restart at 0 on every boundary (SOS and each SEP).
+
+Incremental decoding (DecodeCache): both steps accept, in place of the image
+memory, a cache that holds the memory's cross-attention keys and values
+(projected once per image) and, for every position already scored, each
+block's self-attention keys and values and the output rows.  A step then
+computes only the positions the cache has not scored.  The rules above make
+this exact: a structure row depends only on its prefix within the causal
+window, so rows are keyed by position and keys older than the window are
+evicted; a cell row depends only on SOS and the earlier tokens of its own
+cell, so rows are keyed by (mask cell, relative position) and never change
+as other cells grow.  A plain memory Tensor is the no-cache reference path:
+an empty cache, which scores every position as a full pass does.
 """
 
 from __future__ import annotations
@@ -282,11 +294,12 @@ class TableModel:
         x = ad.add(x, L.pos_grid_2d(g, g, self.cfg.d))
         return self.enc_norm(x)
 
-    def html_step(self, input_ids, direction: str, img_feats: Tensor):
-        """One teacher-forced pass of the structure decoder.
+    def html_step(self, input_ids, direction: str, img_feats):
+        """One pass of the structure decoder.
 
         input_ids starts with SOS; returns (logits, hidden), both length-aligned
-        with the input.
+        with the input.  img_feats is the image memory or a DecodeCache of it;
+        only the positions the cache has not scored yet are computed.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         n = ids.shape[0]
@@ -295,18 +308,23 @@ class TableModel:
         if direction not in ("ltor", "rtol"):
             raise ValueError(f"unknown direction {direction!r}")
         d_id = self.DIR_LTOR if direction == "ltor" else self.DIR_RTOL
-        emb = ad.take_rows(self.struct_emb, ids)
+        cache = DecodeCache.of(img_feats)
+        new, first = cache.begin(("structure", direction), ids, range(n), len(self.html_blocks))
+        emb = ad.take_rows(self.struct_emb, ids[new])
         dir_vec = ad.take_rows(self.dir_emb, [d_id])  # (1, d)
         x = ad.add(
             ad.add(ad.matmul(emb, self.html_mix_tok), ad.matmul(dir_vec, self.html_mix_dir)),
             self.html_mix_b,
         )
-        x = ad.add(x, L.pos_encode_1d(np.arange(n), self.cfg.d))
-        mask = L.build_local_mask(n, self.cfg.window)
-        for blk in self.html_blocks:
-            x = blk(x, mask, img_feats)
+        x = ad.add(x, L.pos_encode_1d(new, self.cfg.d))
+        mask = L.build_local_mask(n, self.cfg.window)[new, first:]
+        for i, blk in enumerate(self.html_blocks):
+            x = blk(x, mask, cache.memory, past=cache.past(i))
         hidden = self.html_norm(x)
-        return self.struct_out(hidden), hidden
+        logits, hidden = cache.finish(self.struct_out(hidden), hidden)
+        # later queries sit at positions >= n and see no key older than n - window
+        cache.evict(n - self.cfg.window)
+        return logits, hidden
 
     def fetch_cells(self, struct: StructFeatures) -> Tensor:
         """One feature per cell, taken at the anchors, reading order; (n, d)."""
@@ -322,10 +340,9 @@ class TableModel:
         """Non-causal global attention over the cell set; identity for 'through'."""
         if self.cfg.variant == "through" or cell_feats.shape[0] == 0:
             return cell_feats
-        n = cell_feats.shape[0]
         x = cell_feats
         for blk in self.refiner_blocks:
-            x = blk(x, L.zero_mask(n, n))
+            x = blk(x, None)
         return x
 
     def bbox_head(self, cell_feats: Tensor) -> Tensor:
@@ -338,8 +355,12 @@ class TableModel:
             return self.box_embed(boxes)
         return refined
 
-    def cell_step(self, input_ids, layout: BufferLayout, cond: Tensor, img_feats: Tensor):
-        """One pass of the content decoder over a full buffer; logits per position."""
+    def cell_step(self, input_ids, layout: BufferLayout, cond: Tensor, img_feats):
+        """One pass of the content decoder over a full buffer; logits per position.
+
+        img_feats is the image memory or a DecodeCache of it; only the
+        positions the cache has not scored yet are computed.
+        """
         ids = np.asarray(input_ids, dtype=np.int64)
         n = ids.shape[0]
         if n > self.cfg.content_cap:
@@ -349,16 +370,182 @@ class TableModel:
         n_cells = cond.shape[0]
         if np.any(layout.feat_index >= n_cells):
             raise ValueError("layout references a cell with no feature")
-        emb = ad.take_rows(self.content_emb, ids)
+        cache = DecodeCache.of(img_feats)
+        keys = zip(layout.mask_cells.tolist(), layout.rel_pos.tolist())
+        new, first = cache.begin(
+            ("cell", n_cells), ids, keys, len(self.cell_blocks), ad.as_tensor(cond).data
+        )
+        emb = ad.take_rows(self.content_emb, ids[new])
         feats_aug = ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))])
         feat_rows = np.where(layout.feat_index == ZERO_FEAT, n_cells, layout.feat_index)
-        feats = ad.take_rows(feats_aug, feat_rows)
+        feats = ad.take_rows(feats_aug, feat_rows[new])
         x = ad.add(
             ad.add(ad.matmul(emb, self.cell_mix_tok), ad.matmul(feats, self.cell_mix_feat)),
             self.cell_mix_b,
         )
-        x = ad.add(x, L.pos_encode_1d(layout.rel_pos, self.cfg.d))
-        mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)
-        for blk in self.cell_blocks:
-            x = blk(x, mask, img_feats)
-        return self.content_out(self.cell_norm(x))
+        x = ad.add(x, L.pos_encode_1d(layout.rel_pos[new], self.cfg.d))
+        mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)[new, first:]
+        for i, blk in enumerate(self.cell_blocks):
+            x = blk(x, mask, cache.memory, past=cache.past(i))
+        (logits,) = cache.finish(self.content_out(self.cell_norm(x)))
+        return logits
+
+
+class _MemoryKeys:
+    """One cross-attention block's keys and values of the image memory,
+    projected on the first call and reused after."""
+
+    def __init__(self):
+        self.kv = None
+
+    def __call__(self, memory, project):
+        if self.kv is None:
+            self.kv = project(memory)
+        return self.kv
+
+
+class _SelfKeys:
+    """One self-attention block's keys and values of the held rows, in the
+    order they were scored, in buffers that grow by doubling.  A pass writes
+    its new rows after the held ones and attends to the rows in `order`,
+    which the cache sets; the cache commits them when the pass ends."""
+
+    def __init__(self):
+        self.k = self.v = None  # (heads, capacity, dh); rows [0, size) are held
+        self.size = 0
+        self.new = 0  # rows written by the current pass
+        self.order = None  # key rows of the current pass; None: only the new rows
+
+    def __call__(self, new_rows, project):
+        k, v = project(new_rows)
+        self.new = k.shape[1]
+        end = self.size + self.new
+        if self.k is None or end > self.k.shape[1]:
+            grown = [np.empty((a.shape[0], 2 * end, a.shape[2])) for a in (k.data, v.data)]
+            if self.k is not None:
+                grown[0][:, : self.size] = self.k[:, : self.size]
+                grown[1][:, : self.size] = self.v[:, : self.size]
+            self.k, self.v = grown
+        self.k[:, self.size : end] = k.data
+        self.v[:, self.size : end] = v.data
+        if self.order is None:  # nothing held: the new rows are all the keys, in order
+            return k, v
+        return Tensor(self.k[:, self.order]), Tensor(self.v[:, self.order])
+
+    def commit(self) -> None:
+        self.size += self.new
+        self.new = 0
+
+    def drop(self, rows: int) -> None:
+        """Forget the oldest rows."""
+        keep = self.size - rows
+        self.k[:, :keep] = self.k[:, rows : self.size]
+        self.v[:, :keep] = self.v[:, rows : self.size]
+        self.size = keep
+
+
+class DecodeCache:
+    """What one decode has computed, so that each position is scored once.
+
+    html_step and cell_step take it where they take the image memory.  It
+    holds each cross-attention block's memory keys and values, projected once,
+    and for every scored position each block's self-attention keys and values
+    and the step's output rows (hidden and logits).  A step computes only the
+    positions it has not scored; they attend to the held rows in buffer order
+    plus each other.  This is exact because no scored row can change as the
+    buffer grows: a structure row sees only its prefix (keyed by position),
+    and a cell row sees only SOS and earlier tokens of its own cell, with its
+    position counted from the cell boundary (keyed by cell and relative
+    position).  A buffer that does not extend the scored one raises
+    ValueError.  A plain memory Tensor gives a step an empty cache, which
+    computes every position exactly as an uncached pass does.
+    """
+
+    def __init__(self, memory):
+        self.memory = memory
+        self.owner = None  # what the held rows were scored for
+        self.cond = None
+        self.index: dict = {}  # position key -> row
+        self.tokens = np.zeros(0, dtype=np.int64)  # token per row
+        self.outs: list[np.ndarray] = []  # step outputs per row
+        self.self_keys: list[_SelfKeys] = []
+        self.memory_keys: list[_MemoryKeys] = []
+        self.first = 0  # rows below this have no keys or values left
+        self.rows = None  # row per buffer position of the current pass
+        self.pending = None
+
+    @classmethod
+    def of(cls, img_feats) -> "DecodeCache":
+        return img_feats if isinstance(img_feats, cls) else cls(img_feats)
+
+    def begin(self, owner, ids: np.ndarray, keys, n_blocks: int, cond=None):
+        """Match a buffer against the held rows.
+
+        Returns the positions to score and the first buffer position they
+        attend to.
+        """
+        held = len(self.tokens)
+        if held and ad.grad_enabled():
+            raise ValueError("cached rows carry no gradient; decode under no_grad")
+        if self.owner is None:
+            self.owner = owner
+            self.cond = None if cond is None else np.array(cond)
+            self.self_keys = [_SelfKeys() for _ in range(n_blocks)]
+            self.memory_keys = [_MemoryKeys() for _ in range(n_blocks)]
+        elif owner != self.owner:
+            raise ValueError(f"cache holds rows scored for {self.owner}, not {owner}")
+        elif cond is not None and not np.array_equal(cond, self.cond):
+            raise ValueError("cache holds rows scored for another conditioning")
+        keys = list(keys)
+        n = len(keys)
+        rows = np.fromiter((self.index.get(k, -1) for k in keys), dtype=np.int64, count=n)
+        seen = np.flatnonzero(rows >= 0)
+        if seen.size != held:
+            raise ValueError(f"buffer keeps {seen.size} of the {held} scored positions")
+        bad = np.flatnonzero(self.tokens[rows[seen]] != ids[seen])
+        if bad.size:
+            p = seen[bad[0]]
+            raise ValueError(
+                f"position {p} holds token {ids[p]}, scored as {self.tokens[rows[p]]}"
+            )
+        new = np.flatnonzero(rows < 0)
+        rows[new] = np.arange(held, held + new.size)
+        self.rows = rows
+        order = None
+        if held:
+            order = rows[self.first :] - self.first
+            if np.array_equal(order, np.arange(order.size)):
+                order = slice(0, order.size)  # a view, not a copy
+        for sk in self.self_keys:
+            sk.order = order
+        self.pending = ([keys[p] for p in new], ids[new])
+        return new, self.first
+
+    def past(self, block: int):
+        """The key stores of one block, for DecoderBlock(past=...)."""
+        return self.self_keys[block], self.memory_keys[block]
+
+    def finish(self, *outs: Tensor) -> tuple[Tensor, ...]:
+        """Hold the new rows of each output; return the outputs at full
+        buffer length, newly allocated, in buffer order."""
+        keys, tokens = self.pending
+        held = len(self.tokens)
+        self.index.update(zip(keys, range(held, held + len(keys))))
+        self.tokens = np.concatenate([self.tokens, tokens])
+        for sk in self.self_keys:
+            sk.commit()
+        if not held:  # the new rows are the whole buffer, in order
+            self.outs = [o.data.copy() for o in outs]
+            return outs
+        self.outs = [np.concatenate([old, o.data]) for old, o in zip(self.outs, outs)]
+        return tuple(Tensor(a[self.rows]) for a in self.outs)
+
+    def evict(self, first: int) -> None:
+        """Drop the keys and values of rows below first, which later passes
+        must not attend to.  Only for the structure decoder, whose rows are
+        its positions."""
+        drop = first - self.first
+        if drop > 0:
+            for sk in self.self_keys:
+                sk.drop(drop)
+            self.first = first

@@ -402,9 +402,18 @@ def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
 
 def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
     """Pad an arbitrary grayscale image to square with paper white, then
-    bilinear-resize to the model side.  Generated corpora never need this."""
+    bilinear-resize to the model side.  Generated corpora never need this.
+
+    Raises ValueError for anything but a nonempty 2-D array of finite pixels.
+    """
     img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape[:2]
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError(f"image must be a nonempty 2-D grayscale array, got shape {img.shape}")
+    bad = np.argwhere(~np.isfinite(img))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, not a finite value")
+    h, w = img.shape
     s = max(h, w)
     padded = np.full((s, s), PAPER / 255.0)
     padded[:h, :w] = img

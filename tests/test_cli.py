@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -199,6 +200,17 @@ class TestInfer:
             == 0
         )
         assert (out / "predictions.jsonl").read_text() == ""
+
+    def test_empty_image_exits_data_error(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        (corpus / "table_00000.pgm").write_bytes(b"P5\n0 4\n255\n")
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert "shape (4, 0)" in capsys.readouterr().err
 
     def test_idempotent_and_parallel_flag_recorded(self, tmp_path, work):
         outs = []

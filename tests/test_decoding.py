@@ -15,7 +15,7 @@ from tabmark.decoding import (
     decode_html,
     recognize,
 )
-from tabmark.model import ModelConfig, TableModel
+from tabmark.model import DecodeCache, ModelConfig, TableModel, cell_buffer_layout
 
 
 def tiny_cfg(**kw):
@@ -335,8 +335,6 @@ class TestTrainInferParity:
         # teacher forcing scores the full buffer once; greedy decoding reads
         # one position of a shorter mid-decode buffer.  Cell isolation must
         # make those logits agree at every (cell, prefix-length) read point.
-        from tabmark.model import cell_buffer_layout
-
         m = TableModel(tiny_cfg())
         rec = synth.generate(MICRO, seed=7)
         cond, feats = conditioned(m, rec)
@@ -402,3 +400,205 @@ class TestRecognize:
         out = recognize(m, rec.image)
         assert out.truncated["structure"] is True
         assert len(out.structure.ids) == 7
+
+
+class Recorded:
+    """Installed as model.html_step and model.cell_step: records a copy of
+    every pass's real logits, then hands the logits on.
+
+    plain=True is the reference path: each pass gets the bare image memory,
+    so it scores the whole buffer with no cache.  steer, when given, maps a
+    pass's input ids to the structure token to force: the last logits row is
+    overwritten in place, as the benchmark's structure stand-in does.
+    """
+
+    def __init__(self, model, plain, steer=None):
+        self.model, self.plain, self.steer = model, plain, steer
+        self.html_step, self.cell_step = model.html_step, model.cell_step
+        self.html, self.cell = [], []
+        model.html_step, model.cell_step = self._html, self._cell
+
+    def _memory(self, memory):
+        assert isinstance(memory, DecodeCache)
+        return memory.memory if self.plain else memory
+
+    def _html(self, ids, direction, memory):
+        logits, hidden = self.html_step(ids, direction, self._memory(memory))
+        self.html.append(logits.data.copy())
+        if self.steer is not None:
+            last = logits.data[-1]
+            last[:] = 0.0
+            last[self.steer(ids)] = 1.0
+        return logits, hidden
+
+    def _cell(self, buffer, layout, cond, memory):
+        logits = self.cell_step(buffer, layout, cond, self._memory(memory))
+        self.cell.append(logits.data.copy())
+        return logits
+
+    def remove(self):
+        del self.model.html_step, self.model.cell_step
+
+
+def steer_to(body):
+    """The structure stand-in's rule: emit body, then EOS."""
+    return lambda ids: body[len(ids) - 1] if len(ids) - 1 < len(body) else V.STRUCTURE.eos
+
+
+def recorded_recognize(model, image, parallel, plain, steer=None, scripts=None):
+    rec = Recorded(model, plain, steer)
+    try:
+        step = make_scripted_step(model, scripts) if scripts is not None else None
+        res = recognize(model, image, parallel=parallel, cell_step_fn=step)
+    finally:
+        rec.remove()
+    return res, rec
+
+
+def assert_cache_exact(model, image, steer=None, scripts=None):
+    """The cached decode equals the uncached reference under both schedules:
+    same tokens and pass counts, logits within 1e-12 at every pass."""
+    for parallel in (True, False):
+        got, got_log = recorded_recognize(model, image, parallel, False, steer, scripts)
+        want, want_log = recorded_recognize(model, image, parallel, True, steer, scripts)
+        assert got.structure.ids == want.structure.ids
+        assert [c.ids for c in got.cell_seqs] == [c.ids for c in want.cell_seqs]
+        assert got.passes == want.passes and got.truncated == want.truncated
+        for a_log, b_log in ((got_log.html, want_log.html), (got_log.cell, want_log.cell)):
+            assert len(a_log) == len(b_log)
+            for a, b in zip(a_log, b_log):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-12
+
+
+class TestDecodeCache:
+    def test_trained_toy_cached_equals_uncached(self, trained_toy, wide_corpus):
+        model, _ = trained_toy
+        for _, rec in wide_corpus:
+            assert_cache_exact(model, rec.image)
+
+    def test_dense_tables_cached_equals_uncached(self):
+        # structure steered to the true table, cells to their first 4 tokens,
+        # which bounds the sequential reference's passes over a 150-row buffer
+        model = TableModel(tiny_cfg(image_side=64, html_blocks=2))
+        spec = synth.PRESETS["dense"]
+        for seed in range(20):
+            rec = synth.generate(spec, seed=seed)
+            scripts = [content_ids(c)[:4] for c in rec.cells]
+            body = list(rec.structure_ids)
+            assert_cache_exact(model, rec.image, steer_to(body), scripts)
+
+    def test_window_eviction(self):
+        m = TableModel(tiny_cfg(window=2))
+        rec = synth.generate(synth.PRESETS["wide"], seed=3)
+        body = list(rec.structure_ids)
+        assert len(body) >= 12
+        scripts = [content_ids(c) for c in rec.cells]  # cells longer than the window
+        assert max(len(s) for s in scripts) > 3
+        assert_cache_exact(m, rec.image, steer_to(body), scripts)
+        # only the last `window` positions keep keys and values
+        feats = m.encode_image(synth.prepare_image(rec.image, 32))
+        cache = DecodeCache(feats)
+        with ad.no_grad():
+            for k in range(1, len(body) + 2):
+                m.html_step([V.STRUCTURE.sos] + body[: k - 1], "ltor", cache)
+        assert cache.first == len(body) + 1 - 2
+        assert all(sk.size == 2 for sk in cache.self_keys)
+
+    def test_in_place_overwrite_leaves_later_passes_unchanged(self):
+        m = TableModel(tiny_cfg())
+        rec = synth.generate(MICRO, seed=7)
+        cond, feats = conditioned(m, rec)
+        n = rec.n_cells()
+        logs = {}
+
+        for plain in (False, True):
+            seen = logs[plain] = []
+
+            def clobber(buffer, layout, cond_, memory):
+                logits = m.cell_step(buffer, layout, cond_, memory.memory if plain else memory)
+                seen.append(logits.data.copy())
+                out = logits.data
+                keep = out.copy()
+                out[:] = -1.0  # the caller owns the returned rows
+                for p in range(len(buffer)):
+                    if layout.rel_pos[p] >= 2 and layout.mask_cells[p] < n:
+                        keep[p, :] = 0.0
+                        keep[p, V.SEP_ID] = 1.0
+                return keep
+
+            decode_cells_parallel(m, cond, feats, step_fn=clobber)
+        assert len(logs[False]) == len(logs[True]) > 1
+        for a, b in zip(logs[False], logs[True]):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def scored_cell_cache(self, model, cond, feats, buf, n_cells):
+        cache = DecodeCache(feats)
+        with ad.no_grad():
+            model.cell_step(buf, cell_buffer_layout(buf, n_cells), cond, cache)
+        return cache
+
+    def test_buffer_that_does_not_extend_is_rejected(self):
+        m = TableModel(tiny_cfg())
+        rec = synth.generate(MICRO, seed=7)
+        cond, feats = conditioned(m, rec)
+        sos, sep = V.CONTENT.sos, V.SEP_ID
+        buf = [sos, 5, 6, sep, 7, sep]
+        longer = [sos, 5, 6, 8, sep, 7, 9, sep]
+        step = m.cell_step
+        with ad.no_grad():
+            # a changed earlier token
+            cache = self.scored_cell_cache(m, cond, feats, buf, 2)
+            poked = [sos, 5, 30, 8, sep, 7, sep]
+            with pytest.raises(ValueError, match="position 2 holds token 30"):
+                step(poked, cell_buffer_layout(poked, 2), cond, cache)
+            # a dropped position
+            shorter = [sos, 5, sep, 7, sep]
+            with pytest.raises(ValueError, match="scored positions"):
+                step(shorter, cell_buffer_layout(shorter, 2), cond, cache)
+            # another cell count
+            three = ad.Tensor(np.vstack([cond.data, cond.data[:1]]))
+            buf3 = longer + [sep]
+            with pytest.raises(ValueError, match="scored for"):
+                step(buf3, cell_buffer_layout(buf3, 3), three, cache)
+            # another conditioning
+            other = ad.Tensor(cond.data + 1.0)
+            with pytest.raises(ValueError, match="conditioning"):
+                step(longer, cell_buffer_layout(longer, 2), other, cache)
+            # another step
+            with pytest.raises(ValueError, match="scored for"):
+                m.html_step([V.STRUCTURE.sos], "ltor", cache)
+            # the cache survives every refusal and still extends exactly
+            got = step(longer, cell_buffer_layout(longer, 2), cond, cache).data
+            want = step(longer, cell_buffer_layout(longer, 2), cond, feats).data
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_structure_prefix_and_direction_are_checked(self):
+        m = TableModel(tiny_cfg())
+        feats = m.encode_image(np.zeros((32, 32)))
+        sos = V.STRUCTURE.sos
+        row = [V.STRUCTURE[t] for t in ("<tr>", "<td></td>", "<td></td>", "</tr>")]
+        ids = [sos] + row * 2
+        cache = DecodeCache(feats)
+        with ad.no_grad():
+            m.html_step(ids[:4], "ltor", cache)
+            with pytest.raises(ValueError, match="rtol"):
+                m.html_step(ids, "rtol", cache)
+            changed = ids[:2] + [V.STRUCTURE["</tr>"]] + ids[3:]
+            with pytest.raises(ValueError, match="position 2"):
+                m.html_step(changed, "ltor", cache)
+            with pytest.raises(ValueError, match="scored positions"):
+                m.html_step(ids[:3], "ltor", cache)
+            logits, hidden = m.html_step(ids, "ltor", cache)
+            want_logits, want_hidden = m.html_step(ids, "ltor", feats)
+        assert np.abs(logits.data - want_logits.data).max() <= 1e-12
+        assert np.abs(hidden.data - want_hidden.data).max() <= 1e-12
+
+    def test_cached_rows_refuse_gradients(self):
+        m = TableModel(tiny_cfg())
+        feats = m.encode_image(np.zeros((32, 32)))
+        cache = DecodeCache(feats)
+        with ad.no_grad():
+            m.html_step([V.STRUCTURE.sos], "ltor", cache)
+        with pytest.raises(ValueError, match="no_grad"):
+            m.html_step([V.STRUCTURE.sos, V.STRUCTURE["<tr>"]], "ltor", cache)

@@ -107,6 +107,13 @@ class TestAttention:
         z = attn(x, y, L.zero_mask(5, 7))
         assert z.shape == (5, 8)
 
+    def test_no_mask_equals_zero_mask_bitwise(self):
+        _, attn = make_attention()
+        rng = np.random.default_rng(11)
+        x = ad.Tensor(rng.normal(size=(5, 8)))
+        y = ad.Tensor(rng.normal(size=(7, 8)))
+        assert np.array_equal(attn(x, y, None).data, attn(x, y, L.zero_mask(5, 7)).data)
+
     def test_single_key_collapses_softmax(self):
         _, attn = make_attention()
         rng = np.random.default_rng(3)

@@ -184,3 +184,20 @@ class TestPrepareImage:
         img = np.random.default_rng(1).random((77, 50))
         out = synth.prepare_image(img, 128)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (5, 0), (0, 7)])
+    def test_empty_image_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+            synth.prepare_image(np.zeros(shape), 64)
+
+    def test_one_dimensional_image_rejected(self):
+        with pytest.raises(ValueError, match=r"2-D .*shape \(9,\)"):
+            synth.prepare_image(np.zeros(9), 64)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_located(self, value):
+        img = np.zeros((6, 8))
+        img[4, 2] = value
+        img[5, 7] = value
+        with pytest.raises(ValueError, match=r"pixel \(4, 2\)"):
+            synth.prepare_image(img, 64)
