@@ -6,8 +6,9 @@ reachable Tensor with requires_grad set.  Gradients ADD into .grad so that
 per-sample backward calls implement batch accumulation; call zero_grad between
 optimizer steps.
 
-Fused ops (masked_softmax, layer_norm, cross_entropy, kl_to_const, conv2d)
-carry hand-derived backward rules; everything else composes from primitives.
+Fused ops (masked_softmax, attention, layer_norm, cross_entropy, kl_to_const,
+conv2d) carry hand-derived backward rules; everything else composes from
+primitives.
 All math runs in the dtype of the operands (float64 throughout this package).
 """
 
@@ -131,9 +132,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _taped(parents: tuple[Tensor, ...]) -> bool:
+    """Whether a node over parents goes on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if _taped(parents):
         out._parents = parents
         out._backward = backward
     return out
@@ -287,6 +293,57 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> Tensor:
     return _node(p, (scores,), backward)
 
 
+def attention(x: Tensor, k: Tensor, v: Tensor, wq: Tensor, wo: Tensor, mask=None) -> Tensor:
+    """Multi-head attention of the rows of x over the keys k and values v.
+
+    x is (n, d); k and v are (heads, m, dh) with heads * dh = d.  Returns
+    concat_h(softmax(Q_h K_h^T / sqrt(dh) + mask) V_h) wo with Q = x wq split
+    into heads, as one tape node.  The forward does the arithmetic of the
+    composed ops (matmul, reshape, swapaxes, mul, masked_softmax) in their
+    order, so its result is bitwise theirs.  mask is (n, m) with entries 0
+    or NEG_INF, or None; unlike masked_softmax it is not checked for fully
+    masked rows, which the mask builders in layers rule out.  The backward
+    keeps only Q, the attention weights and the merged context.
+    """
+    x, k, v, wq, wo = (as_tensor(t) for t in (x, k, v, wq, wo))
+    heads, m, dh = k.data.shape
+    n, d = x.data.shape
+    q = np.swapaxes((x.data @ wq.data).reshape(n, heads, dh), 0, 1)
+    scale = 1.0 / np.sqrt(dh)
+    # in place on fresh arrays: the same arithmetic, without the temporaries
+    p = q @ np.swapaxes(k.data, 1, 2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    merged = np.swapaxes(p @ v.data, 0, 1).reshape(n, d)
+    out = Tensor(merged @ wo.data)
+    parents = (x, k, v, wq, wo)
+    if not _taped(parents):
+        return out
+
+    def backward(g):
+        gctx = np.swapaxes((g @ wo.data.T).reshape(n, heads, dh), 0, 1)
+        gz = gctx @ np.swapaxes(v.data, 1, 2)  # d/dp, then d/dscores in place
+        gz -= np.einsum("hij,hij->hi", gz, p)[..., None]
+        gz *= p
+        gz *= scale
+        gq = np.swapaxes(gz @ k.data, 0, 1).reshape(n, d)
+        return (
+            gq @ wq.data.T,
+            np.swapaxes(gz, 1, 2) @ q,
+            np.swapaxes(p, 1, 2) @ gctx,
+            x.data.T @ gq,
+            merged.T @ g,
+        )
+
+    out._parents = parents
+    out._backward = backward
+    return out
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -355,7 +412,10 @@ def kl_to_const(ref: np.ndarray, logits: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
-    """2D convolution over (H, W, Cin) with kernel (k, k, Cin, Cout)."""
+    """2D convolution over (H, W, Cin) with kernel (k, k, Cin, Cout).
+
+    The input gradient is skipped when x has no gradient path (an image).
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     k = w.data.shape[0]
     xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
@@ -371,11 +431,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     cols2 = cols.reshape(ho * wo, k * k * cin)
     wm = w.data.reshape(k * k * cin, -1)
     out = (cols2 @ wm + b.data).reshape(ho, wo, -1)
+    x_grad = _taped((x,))
 
     def backward(g):
         g2 = g.reshape(ho * wo, -1)
         gw = (cols2.T @ g2).reshape(w.data.shape)
         gb = g2.sum(axis=0)
+        if not x_grad:
+            return None, gw, gb
         gcols = (g2 @ wm.T).reshape(ho, wo, k, k, cin)
         gxp = np.zeros_like(xp)
         for di in range(k):

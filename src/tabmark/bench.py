@@ -34,21 +34,25 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
     """
     n_cells = len(scripts)
     width = len(V.CONTENT)
+    # table[c, j]: the token after the j-th token of cell c; SEP once past its end
+    longest = max((len(s) for s in scripts), default=0)
+    table = np.full((n_cells, longest + 1), V.SEP_ID, dtype=np.int64)
+    for c, script in enumerate(scripts):
+        table[c, : len(script)] = script
 
     def step(buffer, layout, cond, img_feats):
         if model is not None:
             model.cell_step(buffer, layout, cond, img_feats)
-        logits = np.zeros((len(buffer), width))
-        for p in range(len(buffer)):
-            cell = int(layout.feat_index[p])
-            if cell == ZERO_FEAT:
-                logits[p, V.CONTENT.eos] = 1.0
-                continue
-            boundary = p == 0 or layout.mask_cells[p] >= n_cells
-            nxt = 0 if boundary else int(layout.rel_pos[p]) + 1
-            script = scripts[cell]
-            token = script[nxt] if nxt < len(script) else V.SEP_ID
-            logits[p, token] = 1.0
+        n = len(buffer)
+        cell = layout.feat_index
+        boundary = layout.mask_cells >= n_cells
+        boundary[0] = True
+        nxt = np.where(boundary, 0, np.minimum(layout.rel_pos + 1, longest))
+        live = cell != ZERO_FEAT
+        tokens = np.full(n, V.CONTENT.eos, dtype=np.int64)
+        tokens[live] = table[cell[live], nxt[live]]
+        logits = np.zeros((n, width))
+        logits[np.arange(n), tokens] = 1.0
         return logits
 
     return step

@@ -47,33 +47,55 @@ def pos_grid_2d(h: int, w: int, d: int) -> np.ndarray:
     return pos_encode_2d(rows, cols, d)
 
 
-def build_local_mask(n: int, w: int) -> np.ndarray:
-    """Causal sliding window: M_ij = 0 iff 0 <= i-j <= w."""
+def build_local_mask(n: int, w: int, rows=None, first: int = 0) -> np.ndarray:
+    """Causal sliding window: M_ij = 0 iff 0 <= i-j <= w.
+
+    Builds the rows `rows` (default: all n) and the columns first..n-1 of the
+    n x n mask, so a pass pays only for the rows it scores.  Raises ValueError
+    if a built row would see no column.
+    """
     if n < 1:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    diff = np.arange(n)[:, None] - np.arange(n)[None, :]
+    i = _mask_rows(n, rows, first, sos_visible=False)
+    diff = i[:, None] - np.arange(first, n)[None, :]
     return np.where((diff >= 0) & (diff <= w), 0.0, NEG_INF)
 
 
 SOS_CELL = -1  # layout marker for the SOS position
 
 
-def build_cellwise_mask(layout, w: int) -> np.ndarray:
+def build_cellwise_mask(layout, w: int, rows=None, first: int = 0) -> np.ndarray:
     """M_ij = 0 iff (j is SOS) or (cell(i) == cell(j) and 0 <= i-j <= w).
 
     layout: per-token cell index, SOS_CELL marking the SOS position.  Callers
     give SEP positions unique pseudo-cell ids so separators stay isolated.
+    rows and first select rows and columns as in build_local_mask.
     """
     lay = np.asarray(layout, dtype=np.int64)
     if lay.size == 0:
         raise ValueError("empty layout")
     n = lay.shape[0]
-    diff = np.arange(n)[:, None] - np.arange(n)[None, :]
-    same = lay[:, None] == lay[None, :]
-    visible = (same & (diff >= 0) & (diff <= w)) | (lay[None, :] == SOS_CELL)
+    cols = lay[first:]
+    i = _mask_rows(n, rows, first, sos_visible=bool(np.any(cols == SOS_CELL)))
+    diff = i[:, None] - np.arange(first, n)[None, :]
+    same = lay[i][:, None] == cols[None, :]
+    visible = (same & (diff >= 0) & (diff <= w)) | (cols[None, :] == SOS_CELL)
     return np.where(visible, 0.0, NEG_INF)
+
+
+def _mask_rows(n: int, rows, first: int, sos_visible: bool) -> np.ndarray:
+    """The row positions of a mask; raises ValueError if a row sees no key.
+
+    Every position sees itself, so only a row before the first column can
+    be fully masked, and then only if no SOS column is left.  The check runs
+    once per built mask, not on every attention call.
+    """
+    i = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if not sos_visible and i.size and i.min() < first:
+        raise ValueError(f"mask row {i.min()} sees no key at or after column {first}")
+    return i
 
 
 def zero_mask(n: int, m: int) -> np.ndarray:
@@ -146,7 +168,10 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Z = concat_h(softmax(Q_h K_h^T / sqrt(d_h) + M) V_h) W; projections carry no biases."""
+    """Z = concat_h(softmax(Q_h K_h^T / sqrt(d_h) + M) V_h) W; projections carry no biases.
+
+    Keys and values are projected here; the rest is one autodiff.attention node.
+    """
 
     def __init__(self, ps: ParamSet, name: str, d: int, heads: int):
         if d % heads != 0:
@@ -176,15 +201,10 @@ class MultiHeadAttention:
         n = x.shape[0]
         if x.shape[-1] != self.d or y.shape[-1] != self.d:
             raise ValueError("attention input channel mismatch")
-        q = self._split(ad.matmul(x, self.wq), n)
         k, v = self._project(y) if past is None else past(y, self._project)
         if mask is not None and mask.shape != (n, k.shape[1]):
             raise ValueError(f"mask shape {mask.shape}, expected {(n, k.shape[1])}")
-        scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / np.sqrt(self.dh))
-        weights = ad.masked_softmax(scores, mask)
-        ctx = ad.matmul(weights, v)  # (heads, n, dh)
-        merged = ad.reshape(ad.swapaxes(ctx, 0, 1), (n, self.d))
-        return ad.matmul(merged, self.wo)
+        return ad.attention(x, k, v, self.wq, self.wo, mask)
 
 
 class FeedForward:

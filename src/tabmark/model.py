@@ -317,7 +317,7 @@ class TableModel:
             self.html_mix_b,
         )
         x = ad.add(x, L.pos_encode_1d(new, self.cfg.d))
-        mask = L.build_local_mask(n, self.cfg.window)[new, first:]
+        mask = L.build_local_mask(n, self.cfg.window, new, first)
         for i, blk in enumerate(self.html_blocks):
             x = blk(x, mask, cache.memory, past=cache.past(i))
         hidden = self.html_norm(x)
@@ -384,7 +384,7 @@ class TableModel:
             self.cell_mix_b,
         )
         x = ad.add(x, L.pos_encode_1d(layout.rel_pos[new], self.cfg.d))
-        mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)[new, first:]
+        mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window, new, first)
         for i, blk in enumerate(self.cell_blocks):
             x = blk(x, mask, cache.memory, past=cache.past(i))
         (logits,) = cache.finish(self.content_out(self.cell_norm(x)))

@@ -167,11 +167,70 @@ class TestFusedOps:
             tol=1e-6,
         )
 
+    def test_conv2d_skips_input_gradient_of_an_image(self):
+        rng = np.random.default_rng(4)
+        img, w0, b0 = rng.normal(size=(6, 6, 1)), rng.normal(size=(3, 3, 1, 4)), rng.normal(size=4)
+        grads = []
+        for x_grad in (True, False):
+            x = ad.Tensor(img, requires_grad=x_grad)
+            w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+            out = ad.conv2d(x, w, b)
+            gx, _, _ = out._backward(np.ones_like(out.data))
+            assert (gx is None) == (not x_grad)
+            ad.mean(out).backward()
+            grads.append((w.grad, b.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+
     def test_conv2d_shape(self):
         x = ad.Tensor(np.zeros((128, 128, 1)))
         w = ad.Tensor(np.zeros((3, 3, 1, 8)))
         out = ad.conv2d(x, w, ad.Tensor(np.zeros(8)))
         assert out.shape == (64, 64, 8)
+
+
+def split_heads(t: ad.Tensor, heads: int) -> ad.Tensor:
+    n, d = t.shape
+    return ad.swapaxes(ad.reshape(t, (n, heads, d // heads)), 0, 1)
+
+
+class TestAttention:
+    """autodiff.attention against finite differences, over all five inputs."""
+
+    # 3 queries, 4 keys, 2 heads of 2 channels
+    SHAPES = ((3, 4), (2, 4, 2), (2, 4, 2), (4, 4), (4, 4))
+
+    def loss(self, mask, coef):
+        return lambda x, k, v, wq, wo: ad.mean(ad.mul(ad.attention(x, k, v, wq, wo, mask), coef))
+
+    def test_grad_with_mask(self):
+        mask = np.zeros((3, 4))
+        mask[0, 1:] = ad.NEG_INF
+        mask[1, 3] = ad.NEG_INF
+        coef = np.random.default_rng(6).normal(size=(3, 4))
+        check_op(self.loss(mask, coef), *self.SHAPES, seed=1)
+
+    def test_grad_without_mask(self):
+        coef = np.random.default_rng(7).normal(size=(3, 4))
+        check_op(self.loss(None, coef), *self.SHAPES, seed=2)
+
+    def test_grad_with_x_as_key_source(self):
+        # self-attention: x feeds the queries and, projected, the keys and values
+        mask = np.where(np.tril(np.ones((5, 5))) > 0, 0.0, ad.NEG_INF)
+        coef = np.random.default_rng(8).normal(size=(5, 4))
+
+        def build(x, wk, wv, wq, wo):
+            k, v = split_heads(ad.matmul(x, wk), 2), split_heads(ad.matmul(x, wv), 2)
+            return ad.mean(ad.mul(ad.attention(x, k, v, wq, wo, mask), coef))
+
+        check_op(build, (5, 4), (4, 4), (4, 4), (4, 4), (4, 4), seed=3)
+
+    def test_no_grad_builds_no_node(self):
+        rng = np.random.default_rng(9)
+        ins = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in self.SHAPES]
+        with ad.no_grad():
+            out = ad.attention(*ins)
+        assert out._parents == () and out._backward is None
 
 
 class TestTapeMechanics:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from tabmark import synth
 from tabmark import vocab as V
 from tabmark.bench import BenchMismatch, BenchReport, make_scripted_step, run_bench, verify_sample
-from tabmark.decoding import RecognizeResult
-from tabmark.model import ModelConfig, TableModel
+from tabmark.decoding import RecognizeResult, decode_cells_parallel, decode_cells_sequential
+from tabmark.model import ZERO_FEAT, ModelConfig, TableModel
 
 
 def tiny_cfg(**kw):
@@ -53,6 +54,46 @@ def fake_result(cells, passes, parallel, truncated=False):
         timings={"html": 0.01, "bbox": 0.02, "cell": 0.03},
         parallel=parallel,
     )
+
+
+def looped_scripted_logits(scripts, buffer, layout):
+    """The scripted logits built position by position: the reference for
+    make_scripted_step."""
+    n_cells = len(scripts)
+    logits = np.zeros((len(buffer), len(V.CONTENT)))
+    for p in range(len(buffer)):
+        cell = int(layout.feat_index[p])
+        if cell == ZERO_FEAT:
+            logits[p, V.CONTENT.eos] = 1.0
+            continue
+        boundary = p == 0 or layout.mask_cells[p] >= n_cells
+        nxt = 0 if boundary else int(layout.rel_pos[p]) + 1
+        script = scripts[cell]
+        logits[p, script[nxt] if nxt < len(script) else V.SEP_ID] = 1.0
+    return logits
+
+
+class TestScriptedStep:
+    @pytest.mark.parametrize("decode", [decode_cells_parallel, decode_cells_sequential])
+    def test_equals_looped_logits_on_dense_tables(self, decode):
+        model = TableModel(tiny_cfg())
+        for seed in range(20):
+            record = synth.generate(synth.PRESETS["dense"], seed=seed)
+            scripts = [content_ids(text) for text in record.cells]
+            scripted = make_scripted_step(None, scripts)
+            passes = 0
+
+            def step(buffer, layout, cond, img_feats):
+                nonlocal passes
+                passes += 1
+                logits = scripted(buffer, layout, cond, img_feats)
+                assert np.array_equal(logits, looped_scripted_logits(scripts, buffer, layout))
+                return logits
+
+            cond = np.zeros((len(scripts), model.cfg.d))
+            out = decode(model, cond, None, step_fn=step)
+            assert [list(c.ids) for c in out.cells] == scripts
+            assert passes == out.passes > 0
 
 
 class TestVerifySample:

@@ -85,6 +85,37 @@ class TestMasks:
         with pytest.raises(ValueError):
             L.build_cellwise_mask([], 3)
 
+    def test_row_subsets_equal_full_mask_slices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            w = int(rng.integers(0, 8))
+            first = int(rng.integers(0, n))
+            layout = [L.SOS_CELL] + list(rng.integers(0, 5, size=n - 1))
+            cellwise = L.build_cellwise_mask(layout, w)
+            local = L.build_local_mask(n, w)
+            # the rows a pass scores lie at or after first; cell rows may
+            # also precede it while the SOS column is kept
+            count = int(rng.integers(0, n - first + 1))
+            rows = np.sort(rng.choice(np.arange(first, n), size=count, replace=False))
+            assert np.array_equal(L.build_local_mask(n, w, rows, first), local[rows, first:])
+            assert np.array_equal(
+                L.build_cellwise_mask(layout, w, rows, first), cellwise[rows, first:]
+            )
+            any_rows = rng.integers(0, n, size=int(rng.integers(0, 6)))
+            assert np.array_equal(
+                L.build_cellwise_mask(layout, w, any_rows), cellwise[any_rows]
+            )
+
+    def test_row_before_first_column_is_rejected(self):
+        with pytest.raises(ValueError, match="sees no key"):
+            L.build_local_mask(6, 3, [2, 4], first=3)
+        # without the SOS column a cell row before first sees nothing either
+        layout = [L.SOS_CELL, 0, 0, 1, 1]
+        with pytest.raises(ValueError, match="sees no key"):
+            L.build_cellwise_mask(layout, 3, [1, 3], first=2)
+        assert L.build_cellwise_mask(layout, 3, [1], first=0).shape == (1, 5)
+
     def test_every_row_has_an_unmasked_entry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -175,6 +206,55 @@ class TestAttention:
         cell_a = [1, 2]
         assert np.allclose(z1[cell_a], z2[cell_a], atol=1e-12)
         assert np.allclose(z1[0], z2[0], atol=1e-12)  # SOS sees only itself
+
+
+def composed_attention(attn, x, y, mask):
+    """The reference: MultiHeadAttention as ten primitive tape nodes."""
+    n = x.shape[0]
+    q = attn._split(ad.matmul(x, attn.wq), n)
+    k, v = attn._project(y)
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / np.sqrt(attn.dh))
+    ctx = ad.matmul(ad.masked_softmax(scores, mask), v)  # (heads, n, dh)
+    return ad.matmul(ad.reshape(ad.swapaxes(ctx, 0, 1), (n, attn.d)), attn.wo)
+
+
+class TestFusedAttention:
+    """MultiHeadAttention (one autodiff.attention node) against the composed ops."""
+
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_composed_reference(self, cross, masked):
+        ps, attn = make_attention(d=16, heads=4, seed=14)
+        rng = np.random.default_rng(15)
+        for trial in range(5):
+            n = int(rng.integers(2, 12))
+            m = int(rng.integers(2, 12)) if cross else n
+            x0, y0 = rng.normal(size=(n, 16)), rng.normal(size=(m, 16))
+            mask = None
+            if masked:
+                layout = [L.SOS_CELL] + list(rng.integers(0, 3, size=m - 1))
+                mask = (L.build_cellwise_mask(layout, 2)[rng.integers(0, m, size=n)]
+                        if cross else L.build_local_mask(n, 2))
+            coef = rng.normal(size=(n, 16))
+            runs = []
+            for fn in (composed_attention, lambda a, x, y, mk: a(x, y, mk)):
+                ps.zero_grad()
+                x = ad.Tensor(x0, requires_grad=True)
+                y = ad.Tensor(y0, requires_grad=True) if cross else x
+                out = fn(attn, x, y, mask)
+                ad.mean(ad.mul(out, coef)).backward()
+                grads = [p.grad for _, p in ps.items()] + [x.grad] + ([y.grad] if cross else [])
+                runs.append((out.data, grads))
+            (ref_out, ref_grads), (out, grads) = runs
+            assert np.array_equal(out, ref_out), trial
+            for ref, got in zip(ref_grads, grads):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), trial
+
+    def test_one_tape_node_past_the_projections(self):
+        _, attn = make_attention()
+        x = ad.Tensor(np.random.default_rng(16).normal(size=(4, 8)), requires_grad=True)
+        out = attn(x, x, L.build_local_mask(4, 1))
+        assert out._parents[0] is x and out._parents[3:] == (attn.wq, attn.wo)
 
 
 class TestBlocks:
