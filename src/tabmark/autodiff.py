@@ -302,41 +302,47 @@ def attention(x: Tensor, k: Tensor, v: Tensor, wq: Tensor, wo: Tensor, mask=None
     composed ops (matmul, reshape, swapaxes, mul, masked_softmax) in their
     order, so its result is bitwise theirs.  mask is (n, m) with entries 0
     or NEG_INF, or None; unlike masked_softmax it is not checked for fully
-    masked rows, which the mask builders in layers rule out.  The backward
-    keeps only Q, the attention weights and the merged context.
+    masked rows, which the mask builders in layers rule out.  A (G, n/G, m/G)
+    mask splits the rows and the keys into G groups of consecutive ones, and
+    each group attends only to its own keys under its own mask: a
+    block-diagonal mask whose off-diagonal blocks are never computed.  The
+    backward keeps only Q, the attention weights and the merged context.
     """
     x, k, v, wq, wo = (as_tensor(t) for t in (x, k, v, wq, wo))
     heads, m, dh = k.data.shape
     n, d = x.data.shape
-    q = np.swapaxes((x.data @ wq.data).reshape(n, heads, dh), 0, 1)
+    g = 1 if mask is None or mask.ndim == 2 else mask.shape[0]
+    # (heads, groups, rows or keys per group, dh)
+    kg, vg = k.data.reshape(heads, g, m // g, dh), v.data.reshape(heads, g, m // g, dh)
+    q = (x.data @ wq.data).reshape(g, n // g, heads, dh).transpose(2, 0, 1, 3)
     scale = 1.0 / np.sqrt(dh)
     # in place on fresh arrays: the same arithmetic, without the temporaries
-    p = q @ np.swapaxes(k.data, 1, 2)
+    p = q @ np.swapaxes(kg, -1, -2)
     p *= scale
     if mask is not None:
         p += mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    merged = np.swapaxes(p @ v.data, 0, 1).reshape(n, d)
+    merged = (p @ vg).transpose(1, 2, 0, 3).reshape(n, d)
     out = Tensor(merged @ wo.data)
     parents = (x, k, v, wq, wo)
     if not _taped(parents):
         return out
 
-    def backward(g):
-        gctx = np.swapaxes((g @ wo.data.T).reshape(n, heads, dh), 0, 1)
-        gz = gctx @ np.swapaxes(v.data, 1, 2)  # d/dp, then d/dscores in place
-        gz -= np.einsum("hij,hij->hi", gz, p)[..., None]
+    def backward(grad):
+        gctx = (grad @ wo.data.T).reshape(g, n // g, heads, dh).transpose(2, 0, 1, 3)
+        gz = gctx @ np.swapaxes(vg, -1, -2)  # d/dp, then d/dscores in place
+        gz -= np.einsum("...ij,...ij->...i", gz, p)[..., None]
         gz *= p
         gz *= scale
-        gq = np.swapaxes(gz @ k.data, 0, 1).reshape(n, d)
+        gq = (gz @ kg).transpose(1, 2, 0, 3).reshape(n, d)
         return (
             gq @ wq.data.T,
-            np.swapaxes(gz, 1, 2) @ q,
-            np.swapaxes(p, 1, 2) @ gctx,
+            (np.swapaxes(gz, -1, -2) @ q).reshape(heads, m, dh),
+            (np.swapaxes(p, -1, -2) @ gctx).reshape(heads, m, dh),
             x.data.T @ gq,
-            merged.T @ g,
+            merged.T @ grad,
         )
 
     out._parents = parents

@@ -21,7 +21,7 @@ from . import checkpoint, synth
 from .bench import BenchMismatch, run_bench
 from .decoding import recognize
 from .evaluate import evaluate_pairs, pair_records, read_records, summarize, summary_table
-from .model import ModelConfig, TableModel
+from .model import VARIANTS, ModelConfig, TableModel
 from .training import LossWeights, TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
@@ -29,7 +29,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
-VARIANTS = ("bbox", "through", "full")
 PRESET_NAMES = ("wide", "dense")
 
 

@@ -2,8 +2,9 @@
 feed-forward and pre-norm residual blocks, plus parameter bookkeeping.
 
 Masks are additive numpy matrices with entries in {0, NEG_INF}; None stands
-for no mask.  The scaled dot product divides by sqrt(d/heads), i.e. the
-per-head channel count.
+for no mask.  A (G, r, c) stack of masks is block-diagonal: G groups of r
+consecutive query rows, each attending only to its own c keys.  The scaled
+dot product divides by sqrt(d/heads), i.e. the per-head channel count.
 """
 
 from __future__ import annotations
@@ -202,8 +203,10 @@ class MultiHeadAttention:
         if x.shape[-1] != self.d or y.shape[-1] != self.d:
             raise ValueError("attention input channel mismatch")
         k, v = self._project(y) if past is None else past(y, self._project)
-        if mask is not None and mask.shape != (n, k.shape[1]):
-            raise ValueError(f"mask shape {mask.shape}, expected {(n, k.shape[1])}")
+        if mask is not None:
+            g = mask.shape[0] if mask.ndim == 3 else 1
+            if mask.shape[-2:] != (n // g, k.shape[1] // g) or n % g or k.shape[1] % g:
+                raise ValueError(f"mask shape {mask.shape} does not fit {(n, k.shape[1])}")
         return ad.attention(x, k, v, self.wq, self.wo, mask)
 
 

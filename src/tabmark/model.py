@@ -38,7 +38,7 @@ from . import layers as L
 from . import vocab as V
 from .autodiff import Tensor
 
-VARIANTS = ("full", "bbox", "through")
+VARIANTS = ("bbox", "through", "full")  # also the order ablate writes its rows in
 ZERO_FEAT = -1  # feat_index marker for "no conditioning feature"
 
 
@@ -78,8 +78,8 @@ class ModelConfig:
             raise ValueError(f"image side must be divisible by {self.downsample}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.in_channels not in (1, 3):
-            raise ValueError("in_channels must be 1 (grayscale) or 3 (RGB)")
+        if self.in_channels != 1:  # prepare_image takes grayscale only
+            raise ValueError(f"in_channels must be 1 (grayscale), got {self.in_channels}")
         if self.refiner_blocks < 1 or self.html_blocks < 1 or self.cell_blocks < 1:
             raise ValueError("block counts must be >= 1")
 
@@ -221,6 +221,8 @@ class TableModel:
     share every parameter (the direction enters as a mixed-in vector)."""
 
     DIR_LTOR, DIR_RTOL = 0, 1
+    # direction -> the direction-embedding row of each student in one pass
+    STUDENTS = {"ltor": (DIR_LTOR,), "rtol": (DIR_RTOL,), "both": (DIR_LTOR, DIR_RTOL)}
 
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
@@ -300,24 +302,42 @@ class TableModel:
         input_ids starts with SOS; returns (logits, hidden), both length-aligned
         with the input.  img_feats is the image memory or a DecodeCache of it;
         only the positions the cache has not scored yet are computed.
+
+        direction "both" runs the two students of training as one pass:
+        input_ids is the LtoR student's input followed by the RtoL student's,
+        both of one length n, and the outputs are stacked the same way.  A
+        block-diagonal window mask, one (n, n) block per student, keeps the
+        students apart, so each row equals its single-direction result, and
+        the memory's keys and values are projected once for both.  It takes
+        the memory, not a cache.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
-        n = ids.shape[0]
+        if direction not in self.STUDENTS:
+            raise ValueError(f"unknown direction {direction!r}")
+        dirs = self.STUDENTS[direction]
+        n, odd = divmod(ids.shape[0], len(dirs))
+        if odd:
+            raise ValueError(f"{ids.shape[0]} input rows do not split into {len(dirs)} students")
         if n > self.cfg.struct_cap:
             raise ValueError(f"structure input length {n} exceeds cap {self.cfg.struct_cap}")
-        if direction not in ("ltor", "rtol"):
-            raise ValueError(f"unknown direction {direction!r}")
-        d_id = self.DIR_LTOR if direction == "ltor" else self.DIR_RTOL
+        if len(dirs) > 1 and isinstance(img_feats, DecodeCache):
+            raise ValueError("both students run in one pass only on the plain memory")
+        student, positions = np.divmod(np.arange(ids.shape[0]), n)
         cache = DecodeCache.of(img_feats)
-        new, first = cache.begin(("structure", direction), ids, range(n), len(self.html_blocks))
+        new, first = cache.begin(
+            ("structure", direction), ids, range(ids.shape[0]), len(self.html_blocks)
+        )
         emb = ad.take_rows(self.struct_emb, ids[new])
-        dir_vec = ad.take_rows(self.dir_emb, [d_id])  # (1, d)
+        dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
         x = ad.add(
-            ad.add(ad.matmul(emb, self.html_mix_tok), ad.matmul(dir_vec, self.html_mix_dir)),
+            ad.add(ad.matmul(emb, self.html_mix_tok), ad.take_rows(dir_vecs, student[new])),
             self.html_mix_b,
         )
-        x = ad.add(x, L.pos_encode_1d(new, self.cfg.d))
-        mask = L.build_local_mask(n, self.cfg.window, new, first)
+        x = ad.add(x, L.pos_encode_1d(positions[new], self.cfg.d))
+        if len(dirs) == 1:
+            mask = L.build_local_mask(n, self.cfg.window, new, first)
+        else:  # block-diagonal: one causal window per student, over its own rows
+            mask = np.broadcast_to(L.build_local_mask(n, self.cfg.window), (len(dirs), n, n))
         for i, blk in enumerate(self.html_blocks):
             x = blk(x, mask, cache.memory, past=cache.past(i))
         hidden = self.html_norm(x)

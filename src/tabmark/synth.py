@@ -305,27 +305,42 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """Read a binary (P5) 8-bit PGM into [0,1] floats.
+
+    Raises ValueError naming the file and the fault for anything else.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM file")
-    fields: list[bytes] = []
+    fields: list[int] = []
     pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
+    for name in ("width", "height", "maxval"):
+        while data[pos : pos + 1].isspace() or data[pos : pos + 1] == b"#":
+            if data[pos : pos + 1] == b"#":  # comment line
+                pos = data.find(b"\n", pos)
+                if pos < 0:
+                    raise ValueError(f"{path}: header comment has no line end")
             pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            pos = data.index(b"\n", pos) + 1
-            continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(data[start:pos])
-    w, h, maxval = (int(f) for f in fields)
+        token = data[start:pos]
+        if not token:
+            raise ValueError(f"{path}: header ends before its {name}")
+        if not token.removeprefix(b"-").isdigit():
+            shown = token.decode(errors="replace")
+            raise ValueError(f"{path}: header {name} {shown!r} is not an integer")
+        fields.append(int(token))
+    w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image shape ({h}, {w}) has a side below 1")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pos += 1
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
+    have = max(len(data) - pos - 1, 0)  # one whitespace byte ends the header
+    if have < w * h:
+        raise ValueError(f"{path}: truncated, {have} pixel bytes for a {w}x{h} image")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos + 1)
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 

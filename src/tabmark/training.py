@@ -5,6 +5,14 @@ right-to-left).  Each student minimizes cross-entropy plus a KL divergence
 pulling it toward the other student's realigned output distribution; the
 reference side of the KL is held constant (no gradient flows into the other
 student through the KL term).
+
+Both students run as one structure-decoder pass: their inputs, [SOS] + body
+and [SOS] + reversed body, are stacked into 2n rows for html_step's "both"
+direction.  A block-diagonal causal window mask keeps the students apart, so
+every row is what a single-direction pass gives it; self-attention computes
+only the diagonal blocks, and each cross-attention block projects the image
+memory's keys and values once for both.  The logits are split back per
+student before the losses.
 """
 
 from __future__ import annotations
@@ -141,14 +149,14 @@ def structure_mutual_loss(model: TableModel, body_ids, img_feats, kl_refs=None):
     """
     body = list(body_ids)
     sv = V.STRUCTURE
-    inp_lt = [sv.sos] + body
+    n = len(body) + 1
     tgt_lt = body + [sv.eos]
     rev = body[::-1]
-    inp_rt = [sv.sos] + rev
     tgt_rt = rev + [sv.eos]
 
-    logits_lt, hidden_lt = model.html_step(inp_lt, "ltor", img_feats)
-    logits_rt, _ = model.html_step(inp_rt, "rtol", img_feats)
+    logits, hidden = model.html_step([sv.sos] + body + [sv.sos] + rev, "both", img_feats)
+    logits_lt = ad.take_rows(logits, np.arange(n))
+    logits_rt = ad.take_rows(logits, np.arange(n, 2 * n))
 
     if kl_refs is None:
         kl_refs = (realign(softmax(logits_rt.data)), realign(softmax(logits_lt.data)))
@@ -160,7 +168,7 @@ def structure_mutual_loss(model: TableModel, body_ids, img_feats, kl_refs=None):
         "kl_ltor": ad.kl_to_const(ref_lt, logits_lt),
         "kl_rtol": ad.kl_to_const(ref_rt, logits_rt),
     }
-    token_hidden = ad.take_rows(hidden_lt, np.arange(1, len(inp_lt)))
+    token_hidden = ad.take_rows(hidden, np.arange(1, n))
     return parts, token_hidden, kl_refs
 
 

@@ -214,6 +214,15 @@ class TestAttention:
         coef = np.random.default_rng(7).normal(size=(3, 4))
         check_op(self.loss(None, coef), *self.SHAPES, seed=2)
 
+    def test_grad_with_grouped_mask(self):
+        # 2 groups of 2 queries, each over its own 2 of the 4 keys
+        mask = np.zeros((2, 2, 2))
+        mask[0, 0, 1] = ad.NEG_INF
+        mask[1, 1, 0] = ad.NEG_INF
+        coef = np.random.default_rng(10).normal(size=(4, 4))
+        shapes = ((4, 4),) + self.SHAPES[1:]
+        check_op(self.loss(mask, coef), *shapes, seed=4)
+
     def test_grad_with_x_as_key_source(self):
         # self-attention: x feeds the queries and, projected, the keys and values
         mask = np.where(np.tril(np.ones((5, 5))) > 0, 0.0, ad.NEG_INF)

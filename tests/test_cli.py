@@ -212,6 +212,18 @@ class TestInfer:
         assert code == cli.EXIT_DATA
         assert "shape (4, 0)" in capsys.readouterr().err
 
+    def test_truncated_image_exits_data_error(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        image = corpus / "table_00000.pgm"
+        image.write_bytes(image.read_bytes()[:-10])
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert f"{image}: truncated" in capsys.readouterr().err
+
     def test_idempotent_and_parallel_flag_recorded(self, tmp_path, work):
         outs = []
         for name in ("p1", "p2"):

@@ -250,6 +250,36 @@ class TestFusedAttention:
             for ref, got in zip(ref_grads, grads):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), trial
 
+    def test_grouped_mask_equals_block_diagonal_mask(self):
+        # a (G, r, r) mask stack is the block-diagonal (G*r, G*r) mask: the same
+        # outputs and gradients, without computing the off-diagonal blocks
+        ps, attn = make_attention(d=16, heads=4, seed=17)
+        rng = np.random.default_rng(18)
+        for trial, (groups, rows) in enumerate([(2, 1), (2, 5), (3, 4), (2, 9)]):
+            n = groups * rows
+            x0, coef = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+            local = L.build_local_mask(rows, 2)
+            block = L.build_cellwise_mask(np.repeat(np.arange(groups), rows), 2)
+            runs = []
+            for mask in (block, np.broadcast_to(local, (groups, rows, rows))):
+                ps.zero_grad()
+                x = ad.Tensor(x0, requires_grad=True)
+                out = attn(x, x, mask)
+                ad.mean(ad.mul(out, coef)).backward()
+                runs.append((out.data, [p.grad for _, p in ps.items()] + [x.grad]))
+            (ref_out, ref_grads), (out, grads) = runs
+            np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+            for ref, got in zip(ref_grads, grads):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), trial
+
+    def test_grouped_mask_must_fit(self):
+        _, attn = make_attention()
+        x = ad.Tensor(np.zeros((6, 8)))
+        with pytest.raises(ValueError, match="does not fit"):
+            attn(x, x, np.zeros((4, 2, 2)))  # 4 groups of 2 rows would need 8
+        with pytest.raises(ValueError, match="does not fit"):
+            attn(x, x, np.zeros((6, 5)))
+
     def test_one_tape_node_past_the_projections(self):
         _, attn = make_attention()
         x = ad.Tensor(np.random.default_rng(16).normal(size=(4, 8)), requires_grad=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabmark import autodiff as ad
+from tabmark import checkpoint
 from tabmark import layers as L
 from tabmark import model as M
 from tabmark import synth
@@ -65,6 +66,19 @@ class TestModelConfig:
     def test_validation_rejects(self, kw):
         with pytest.raises(ValueError):
             tiny_cfg(**kw).validate()
+
+    def test_in_channels_is_grayscale_only(self, tmp_path):
+        # prepare_image takes 2-D images only, so RGB could never reach the model
+        with pytest.raises(ValueError, match="in_channels"):
+            tiny_cfg(in_channels=3).validate()
+        path = tmp_path / "model.ckpt"
+        checkpoint.save(str(path), M.TableModel(tiny_cfg(in_channels=1)))
+        raw = path.read_bytes()
+        assert b"in_channels=1\n" in raw
+        assert checkpoint.load(str(path)).cfg.in_channels == 1
+        path.write_bytes(raw.replace(b"in_channels=1\n", b"in_channels=3\n"))
+        with pytest.raises(ValueError, match="in_channels"):
+            checkpoint.load(str(path))
 
     def test_with_variant(self):
         cfg = tiny_cfg()
@@ -204,6 +218,20 @@ class TestHtmlStep:
     def test_bad_direction_rejected(self, model, img_feats):
         with pytest.raises(ValueError, match="direction"):
             model.html_step([V.STRUCTURE.sos], "ttob", img_feats)
+
+    def test_both_students_cap_is_per_student(self):
+        m = M.TableModel(tiny_cfg(struct_cap=3))
+        feats = m.encode_image(np.zeros((32, 32)))
+        logits, hidden = m.html_step([V.STRUCTURE.sos] * 6, "both", feats)
+        assert logits.shape == (6, len(V.STRUCTURE)) and hidden.shape == (6, 16)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            m.html_step([V.STRUCTURE.sos] * 8, "both", feats)
+
+    def test_both_students_refusals(self, model, img_feats):
+        with pytest.raises(ValueError, match="do not split"):
+            model.html_step([V.STRUCTURE.sos] * 3, "both", img_feats)
+        with pytest.raises(ValueError, match="plain memory"):
+            model.html_step([V.STRUCTURE.sos] * 2, "both", M.DecodeCache(img_feats))
 
     def test_directions_differ(self, model, img_feats):
         ids = [V.STRUCTURE.sos] + structure_ids("<table><tr><td></td></tr></table>")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ class TestCorpusIO:
         synth.write_pgm(path, rec.image)
         back = synth.read_pgm(path)
         assert np.array_equal(back, rec.image)
+
+    @pytest.mark.parametrize(
+        "content, fault",
+        [
+            (b"P5\n4 2\n255\n" + bytes(7), "truncated, 7 pixel bytes for a 4x2 image"),
+            (b"P5\n4 2\n255", "truncated, 0 pixel bytes"),
+            (b"P5\nfour 2\n255\n" + bytes(8), "width 'four' is not an integer"),
+            (b"P5\n4 2.5\n255\n" + bytes(8), "height '2.5' is not an integer"),
+            (b"P5\n4 2\n", "header ends before its maxval"),
+            (b"P5\n4 2 # size", "header comment has no line end"),
+            (b"P5\n0 4\n255\n", r"shape \(4, 0\) has a side below 1"),
+            (b"P5\n-2 -2\n255\n" + bytes(4), r"shape \(-2, -2\) has a side below 1"),
+        ],
+    )
+    def test_bad_pgm_names_file_and_fault(self, tmp_path, content, fault):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{fault}"):
+            synth.read_pgm(str(path))
+
+    def test_pgm_header_comments(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# made by hand\n2 1 # size\n255\n" + bytes([0, 255]))
+        assert np.array_equal(synth.read_pgm(str(path)), [[0.0, 1.0]])
 
     def test_emit_zero_records(self, tmp_path):
         synth.emit_corpus(0, synth.PRESETS["wide"], str(tmp_path / "c"))

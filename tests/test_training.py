@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from tabmark import autodiff as ad
 from tabmark import checkpoint
+from tabmark import layers as L
 from tabmark import model as M
 from tabmark import synth
 from tabmark import training as T
@@ -133,6 +135,124 @@ class TestMutualLoss:
         # through the other student's output
         assert type(refs[0]) is np.ndarray and type(refs[1]) is np.ndarray
 
+
+def two_pass_structure_loss(model, body_ids, img_feats, kl_refs=None):
+    """Reference for structure_mutual_loss: one html_step call per student."""
+    body = list(body_ids)
+    sv = V.STRUCTURE
+    inp_lt = [sv.sos] + body
+    rev = body[::-1]
+    inp_rt = [sv.sos] + rev
+    logits_lt, hidden_lt = model.html_step(inp_lt, "ltor", img_feats)
+    logits_rt, _ = model.html_step(inp_rt, "rtol", img_feats)
+    if kl_refs is None:
+        kl_refs = (T.realign(T.softmax(logits_rt.data)), T.realign(T.softmax(logits_lt.data)))
+    parts = {
+        "struct_ce_ltor": ad.cross_entropy(logits_lt, body + [sv.eos]),
+        "struct_ce_rtol": ad.cross_entropy(logits_rt, rev + [sv.eos]),
+        "kl_ltor": ad.kl_to_const(kl_refs[0], logits_lt),
+        "kl_rtol": ad.kl_to_const(kl_refs[1], logits_rt),
+    }
+    return parts, ad.take_rows(hidden_lt, np.arange(1, len(inp_lt))), kl_refs
+
+
+STRUCT_PARTS = ("struct_ce_ltor", "struct_ce_rtol", "kl_ltor", "kl_rtol")
+
+
+def grads(model) -> dict[str, np.ndarray]:
+    return {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    assert set(got) == set(want)
+    for name, g in want.items():
+        scale = max(float(np.abs(g).max()), 1e-300)
+        assert float(np.abs(got[name] - g).max()) <= rel * scale, name
+
+
+def check_one_pass(model, body, feats):
+    """The stacked pass and structure_mutual_loss against two_pass_structure_loss."""
+    sv = V.STRUCTURE
+    n = len(body) + 1
+    logits, hidden = model.html_step([sv.sos] + body + [sv.sos] + body[::-1], "both", feats)
+    for rows, inp, direction in (
+        (slice(0, n), [sv.sos] + body, "ltor"),
+        (slice(n, 2 * n), [sv.sos] + body[::-1], "rtol"),
+    ):
+        want_logits, want_hidden = model.html_step(inp, direction, feats)
+        np.testing.assert_allclose(logits.data[rows], want_logits.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hidden.data[rows], want_hidden.data, rtol=0, atol=1e-12)
+
+    parts, token_hidden, refs = T.structure_mutual_loss(model, body, feats)
+    want_parts, want_hidden, want_refs = two_pass_structure_loss(model, body, feats)
+    for name in STRUCT_PARTS:
+        got, want = float(parts[name].data), float(want_parts[name].data)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), name
+    np.testing.assert_allclose(token_hidden.data, want_hidden.data, rtol=0, atol=1e-12)
+    for a, b in zip(refs, want_refs):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+class TestStudentsInOnePass:
+    """structure_mutual_loss runs both students as one stacked html_step pass;
+    two single-direction passes are the reference."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return M.TableModel(M.ModelConfig())
+
+    RECORDS = [("wide", (11, i)) for i in range(10)] + [("dense", (12, i)) for i in range(5)]
+
+    @pytest.mark.parametrize("preset, seed", RECORDS)
+    def test_matches_two_passes(self, model, preset, seed, monkeypatch):
+        rec = synth.generate(synth.PRESETS[preset], seed)
+        feats = model.encode_image(synth.prepare_image(rec.image, model.cfg.image_side))
+        body = list(rec.structure_ids)
+        check_one_pass(model, body, feats)
+
+        model.params.zero_grad()
+        fused = T.sample_loss(model, rec)
+        fused.total.backward()
+        got = grads(model)
+        monkeypatch.setattr(T, "structure_mutual_loss", two_pass_structure_loss)
+        model.params.zero_grad()
+        ref = T.sample_loss(model, rec)
+        ref.total.backward()
+        want = grads(model)
+        model.params.zero_grad()
+        assert fused.report.total == pytest.approx(ref.report.total, rel=1e-12)
+        assert_grads_close(got, want)
+
+    def test_short_bodies(self, model):
+        # a lone SOS per student, and a one-token body
+        feats = model.encode_image(np.random.default_rng(6).random((128, 128)))
+        for body in ([], [V.STRUCTURE["<tr>"]]):
+            check_one_pass(model, body, feats)
+            total = {}
+            for f in (T.structure_mutual_loss, two_pass_structure_loss):
+                model.params.zero_grad()
+                parts = f(model, body, feats)[0]
+                ad.add(
+                    ad.add(parts["struct_ce_ltor"], parts["struct_ce_rtol"]),
+                    ad.add(parts["kl_ltor"], parts["kl_rtol"]),
+                ).backward()
+                total[f] = grads(model)
+            model.params.zero_grad()
+            assert_grads_close(total[T.structure_mutual_loss], total[two_pass_structure_loss])
+
+    def test_memory_projected_once_per_block(self, model, monkeypatch):
+        # one training sample projects each html block's image memory once
+        calls = []
+        project = L.MultiHeadAttention._project
+
+        def counting(attn, y):
+            calls.append(attn)
+            return project(attn, y)
+
+        monkeypatch.setattr(L.MultiHeadAttention, "_project", counting)
+        T.sample_loss(model, synth.generate(synth.PRESETS["wide"], (11, 0)))
+        for blk in model.html_blocks:
+            assert calls.count(blk.cross_attn) == 1
 
 class TestContentLoss:
     def test_confident_correct_logits(self):
