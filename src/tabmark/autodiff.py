@@ -6,9 +6,12 @@ reachable Tensor with requires_grad set.  Gradients ADD into .grad so that
 per-sample backward calls implement batch accumulation; call zero_grad between
 optimizer steps.
 
-Fused ops (masked_softmax, attention, layer_norm, cross_entropy, kl_to_const,
-conv2d) carry hand-derived backward rules; everything else composes from
-primitives.
+Fused ops put one node on the tape and carry hand-derived backward rules.
+The layers are built from linear, feed_forward, project_heads, attention,
+layer_norm and conv2d (with its ReLU), each of which does the arithmetic of
+the primitives it replaces in their order, so its output is bitwise theirs.
+The losses cross_entropy and kl_to_const, and masked_softmax, are fused too.
+Everything else composes from primitives.
 All math runs in the dtype of the operands (float64 throughout this package).
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Additive mask value standing in for -inf: large enough that exp underflows
 # to exactly 0.0 in double precision after the row-max shift.
@@ -267,6 +271,56 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 # -- fused ops ----------------------------------------------------------------
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x (n, d_in), w (d_in, d_out) and b (d_out,), as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return _node(out, (x, w, b), backward)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 for x (n, d), as one node.
+
+    The backward keeps the hidden activations and their ReLU mask.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    h = x.data @ w1.data
+    h += b1.data
+    keep = h > 0
+    h = np.where(keep, h, 0.0)
+    out = h @ w2.data
+    out += b2.data
+
+    def backward(g):
+        gh = g @ w2.data.T
+        gh *= keep
+        return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+
+    return _node(out, (x, w1, b1, w2, b2), backward)
+
+
+def project_heads(y: Tensor, w: Tensor, heads: int) -> Tensor:
+    """y @ w split into heads: (m, d) -> (heads, m, d / heads), as one node.
+
+    The result is a view of the (m, d) product, laid out as the composed
+    matmul, reshape and swapaxes leave it.
+    """
+    y, w = as_tensor(y), as_tensor(w)
+    m, d = y.data.shape[0], w.data.shape[1]
+    out = np.swapaxes((y.data @ w.data).reshape(m, heads, d // heads), 0, 1)
+
+    def backward(g):
+        g2 = np.swapaxes(g, 0, 1).reshape(m, d)
+        return g2 @ w.data.T, y.data.T @ g2
+
+    return _node(out, (y, w), backward)
+
+
 def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> Tensor:
     """softmax(scores + mask) rows; mask entries are 0 or NEG_INF, None for no mask.
 
@@ -351,22 +405,33 @@ def attention(x: Tensor, k: Tensor, v: Tensor, wq: Tensor, wo: Tensor, mask=None
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    The means are np.add.reduce sums divided by the count, which is what
+    np.mean and np.var compute, without their per-call overhead.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
+    d = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def backward(g):
-        d = x.data.shape[-1]
         gxhat = g * gamma.data
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        m1 = np.add.reduce(gxhat, axis=-1, keepdims=True)
+        m1 /= d
+        m2 = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True)
+        m2 /= d
+        gx = gxhat - m1
+        gx -= xhat * m2
+        gx *= inv
         axes = tuple(range(g.ndim - 1))
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
@@ -418,29 +483,29 @@ def kl_to_const(ref: np.ndarray, logits: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
-    """2D convolution over (H, W, Cin) with kernel (k, k, Cin, Cout).
+    """relu(2D convolution) over (H, W, Cin) with kernel (k, k, Cin, Cout).
 
-    The input gradient is skipped when x has no gradient path (an image).
+    The encoder applies a ReLU after every convolution, so the op includes
+    it.  im2col gathers every window in one copy.  The input gradient is
+    skipped when x has no gradient path (an image).
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     k = w.data.shape[0]
     xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    hp, wp, cin = xp.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    cols = np.empty((ho, wo, k, k, cin), dtype=xp.dtype)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj, :] = xp[
-                di : di + stride * ho : stride, dj : dj + stride * wo : stride, :
-            ]
-    cols2 = cols.reshape(ho * wo, k * k * cin)
+    cin = xp.shape[2]
+    # (ho, wo, cin, k, k) windows -> rows of (k, k, cin) patches
+    windows = sliding_window_view(xp, (k, k), axis=(0, 1))[::stride, ::stride]
+    ho, wo = windows.shape[:2]
+    cols2 = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
     wm = w.data.reshape(k * k * cin, -1)
-    out = (cols2 @ wm + b.data).reshape(ho, wo, -1)
+    out = cols2 @ wm
+    out += b.data
+    keep = out > 0
+    out = np.where(keep, out, 0.0).reshape(ho, wo, -1)
     x_grad = _taped((x,))
 
     def backward(g):
-        g2 = g.reshape(ho * wo, -1)
+        g2 = g.reshape(ho * wo, -1) * keep
         gw = (cols2.T @ g2).reshape(w.data.shape)
         gb = g2.sum(axis=0)
         if not x_grad:

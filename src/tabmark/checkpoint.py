@@ -68,9 +68,7 @@ def load(path: str) -> TableModel:
             name = _read(fh, _read_u32(fh)).decode("utf-8")
             rank = _read_u32(fh)
             shape = tuple(_read_u32(fh) for _ in range(rank))
-            data = np.frombuffer(
-                _read(fh, 8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8"
-            ).reshape(shape)
+            # checked before the data is read, so a header cannot ask for a huge read
             if name in seen:
                 raise ValueError(f"{path}: duplicate tensor {name!r}")
             if name not in expected:
@@ -80,7 +78,8 @@ def load(path: str) -> TableModel:
                     f"{path}: tensor {name!r} has shape {shape}, "
                     f"model expects {expected[name].data.shape}"
                 )
-            expected[name].data = data.astype(np.float64).copy()
+            raw = _read(fh, 8 * expected[name].data.size)
+            expected[name].data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             seen.add(name)
         missing = sorted(set(expected) - seen)
         if missing:

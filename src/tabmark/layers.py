@@ -150,13 +150,12 @@ class ParamSet:
 
 
 class Linear:
-    def __init__(self, ps: ParamSet, name: str, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, ps: ParamSet, name: str, d_in: int, d_out: int):
         self.w = ps.make(f"{name}.w", (d_in, d_out))
-        self.b = ps.make(f"{name}.b", (d_out,), "zeros") if bias else None
+        self.b = ps.make(f"{name}.b", (d_out,), "zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.w)
-        return ad.add(out, self.b) if self.b is not None else out
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm:
@@ -171,7 +170,8 @@ class LayerNorm:
 class MultiHeadAttention:
     """Z = concat_h(softmax(Q_h K_h^T / sqrt(d_h) + M) V_h) W; projections carry no biases.
 
-    Keys and values are projected here; the rest is one autodiff.attention node.
+    Keys and values are projected here, one autodiff.project_heads node each;
+    the rest is one autodiff.attention node.
     """
 
     def __init__(self, ps: ParamSet, name: str, d: int, heads: int):
@@ -183,13 +183,9 @@ class MultiHeadAttention:
         self.wv = ps.make(f"{name}.wv", (d, d))
         self.wo = ps.make(f"{name}.wo", (d, d))
 
-    def _split(self, x: Tensor, n: int) -> Tensor:
-        # (n, d) -> (heads, n, dh)
-        return ad.swapaxes(ad.reshape(x, (n, self.heads, self.dh)), 0, 1)
-
     def _project(self, y: Tensor) -> tuple[Tensor, Tensor]:
-        m = y.shape[0]
-        return self._split(ad.matmul(y, self.wk), m), self._split(ad.matmul(y, self.wv), m)
+        """(m, d) key rows -> (heads, m, dh) keys and values."""
+        return ad.project_heads(y, self.wk, self.heads), ad.project_heads(y, self.wv, self.heads)
 
     def __call__(self, x: Tensor, y: Tensor, mask: np.ndarray | None = None, past=None) -> Tensor:
         """Queries from x, keys and values from y; mask None means no mask.
@@ -211,12 +207,14 @@ class MultiHeadAttention:
 
 
 class FeedForward:
+    """down(relu(up(x))) as one autodiff.feed_forward node."""
+
     def __init__(self, ps: ParamSet, name: str, d: int, mult: int):
         self.up = Linear(ps, f"{name}.up", d, d * mult)
         self.down = Linear(ps, f"{name}.down", d * mult, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.down(ad.relu(self.up(x)))
+        return ad.feed_forward(x, self.up.w, self.up.b, self.down.w, self.down.b)
 
 
 class DecoderBlock:

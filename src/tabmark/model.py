@@ -68,14 +68,27 @@ class ModelConfig:
         return self.image_side // self.downsample
 
     def validate(self) -> None:
-        if self.d % 4 != 0 or self.d % self.heads != 0:
-            raise ValueError("d must be divisible by 4 and by the head count")
+        if self.heads < 1 or self.d < 4 or self.d % 4 != 0 or self.d % self.heads != 0:
+            raise ValueError(
+                "d must be a positive multiple of 4 and of the head count (>= 1), "
+                f"got d={self.d}, heads={self.heads}"
+            )
         if self.struct_cap < 1 or self.content_cap < 1:
             raise ValueError("length caps must be >= 1")
-        if len(self.enc_channels) != 3:
-            raise ValueError("encoder uses exactly 3 strided stages (downsample 8)")
-        if self.image_side % self.downsample != 0:
-            raise ValueError(f"image side must be divisible by {self.downsample}")
+        if self.window < 0 or self.ffn_mult < 1:
+            raise ValueError(
+                f"need window >= 0 and ffn_mult >= 1, got {self.window} and {self.ffn_mult}"
+            )
+        if len(self.enc_channels) != 3 or min(self.enc_channels) < 1:
+            raise ValueError(
+                "encoder uses exactly 3 strided stages (downsample 8): enc_channels must be "
+                f"3 positive channel counts, got {self.enc_channels}"
+            )
+        if self.image_side < self.downsample or self.image_side % self.downsample != 0:
+            raise ValueError(
+                f"image side must be a positive multiple of {self.downsample}, "
+                f"got {self.image_side}"
+            )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.in_channels != 1:  # prepare_image takes grayscale only
@@ -106,12 +119,15 @@ class ModelConfig:
             if f.name not in raw:
                 continue
             v = raw.pop(f.name)
-            if f.name == "enc_channels":
-                kwargs[f.name] = tuple(int(x) for x in v.split(","))
-            elif f.name == "variant":
+            if f.name == "variant":
                 kwargs[f.name] = v
-            else:
-                kwargs[f.name] = int(v)
+                continue
+            many = f.name == "enc_channels"
+            try:
+                kwargs[f.name] = tuple(int(x) for x in v.split(",")) if many else int(v)
+            except ValueError:
+                need = "comma-separated integers" if many else "an integer"
+                raise ValueError(f"config key {f.name} needs {need}, got {v!r}") from None
         if raw:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
         cfg = cls(**kwargs)
@@ -243,6 +259,8 @@ class TableModel:
             ps.make("enc.conv3.b", (c3,), "zeros"),
         ]
         self.enc_proj = L.Linear(ps, "enc.proj", c3, d)
+        self.enc_pos = L.pos_grid_2d(cfg.grid, cfg.grid, d)  # added to the encoder output
+        self.enc_pos.flags.writeable = False
         self.enc_norm = L.LayerNorm(ps, "enc.norm", d)
 
         self.struct_emb = ps.make("html.emb", (len(V.STRUCTURE), d), "embedding")
@@ -289,11 +307,11 @@ class TableModel:
             raise ValueError(f"expected {self.cfg.in_channels} channel(s), got {img.shape[2]}")
         x = Tensor(img)
         for w, b in zip(self.conv_w, self.conv_b):
-            x = ad.relu(ad.conv2d(x, w, b, stride=2, pad=1))
+            x = ad.conv2d(x, w, b, stride=2, pad=1)  # ReLU included
         g = self.cfg.grid
         x = ad.reshape(x, (g * g, x.shape[-1]))
         x = self.enc_proj(x)
-        x = ad.add(x, L.pos_grid_2d(g, g, self.cfg.d))
+        x = ad.add(x, self.enc_pos)
         return self.enc_norm(x)
 
     def html_step(self, input_ids, direction: str, img_feats):

@@ -358,7 +358,28 @@ def record_to_annotation(rec: TableRecord, rec_id: str, filename: str) -> dict:
 
 
 def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
-    ids = tuple(V.STRUCTURE[t] for t in ann["structure_tokens"])
+    """Raises ValueError naming the fault for a missing or mistyped field, an
+    unknown structure token or a cell that is not a text with a box of 4
+    numbers."""
+    for key, kind in (("structure_tokens", list), ("cells", list), ("complex", bool)):
+        if not isinstance(ann.get(key), kind):
+            raise ValueError(f"field {key!r} missing or not a {kind.__name__}")
+    ids = []
+    for t in ann["structure_tokens"]:
+        i = V.STRUCTURE.get(t) if isinstance(t, str) else None
+        if i is None:
+            raise ValueError(f"unknown structure token {t!r}")
+        ids.append(i)
+    for k, c in enumerate(ann["cells"]):
+        if not isinstance(c, dict) or not isinstance(c.get("text"), str):
+            raise ValueError(f"cell {k} has no text string")
+        box = c.get("box")
+        if not (
+            isinstance(box, list)
+            and len(box) == 4
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in box)
+        ):
+            raise ValueError(f"cell {k} box {box!r} is not 4 numbers")
     cells = tuple(c["text"] for c in ann["cells"])
     boxes = (
         np.array([c["box"] for c in ann["cells"]], dtype=np.float64)
@@ -367,7 +388,7 @@ def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
     )
     return TableRecord(
         image=image,
-        structure_ids=ids,
+        structure_ids=tuple(ids),
         cells=cells,
         boxes=boxes,
         is_complex=bool(ann["complex"]),
@@ -400,18 +421,34 @@ def emit_corpus(n: int, spec: GenSpec, path: str, master_seed: int = 0) -> list[
 
 
 def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
-    """Read an emitted corpus back as (id, record) pairs in file order."""
+    """Read an emitted corpus back as (id, record) pairs in file order.
+
+    A faulty annotation line raises ValueError located as
+    "<path>/annotations.jsonl:<line>: ...".
+    """
     ann_path = os.path.join(path, "annotations.jsonl")
     if not os.path.exists(ann_path):
         raise ValueError(f"no annotations.jsonl under {path}")
     out = []
     with open(ann_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            ann = json.loads(line)
+            where = f"{ann_path}:{lineno}"
+            try:
+                ann = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: bad JSON: {e}") from None
+            if not isinstance(ann, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            for key in ("id", "filename"):
+                if not isinstance(ann.get(key), str):
+                    raise ValueError(f"{where}: field {key!r} missing or not a string")
             image = read_pgm(os.path.join(path, ann["filename"]))
-            out.append((ann["id"], annotation_to_record(ann, image)))
+            try:
+                out.append((ann["id"], annotation_to_record(ann, image)))
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
     return out
 
 

@@ -334,12 +334,25 @@ def test_criterion_8_mask_isolation(report):
             poisoned[mask[i] == ad.NEG_INF] = 1e6
             zero_ok &= bool(np.array_equal(out[i], (w @ poisoned)[i]))
 
+        # The same for autodiff.attention, the op the layers run: poisoning the
+        # keys and values a query row cannot see leaves that row bitwise unchanged.
+        x, wq, wo = (ad.Tensor(rng.normal(size=(n, 8))) for n in (6, 8, 8))
+        keys, vals = rng.normal(size=(2, 9, 4)), rng.normal(size=(2, 9, 4))
+        out = ad.attention(x, ad.Tensor(keys), ad.Tensor(vals), wq, wo, mask).data
+        for i in range(6):
+            pk, pv = keys.copy(), vals.copy()
+            pk[:, mask[i] == ad.NEG_INF] = 1e6
+            pv[:, mask[i] == ad.NEG_INF] = 1e6
+            poisoned = ad.attention(x, ad.Tensor(pk), ad.Tensor(pv), wq, wo, mask).data
+            zero_ok &= bool(np.array_equal(out[i], poisoned[i]))
+
     ok = prefix_ok and cellwise_ok and zero_ok
     report(
         8,
         ok,
         f"prefix truncation max |diff| {worst_prefix:.1e} (<=1e-10); cross-cell rows "
-        f"bitwise equal: {cellwise_ok}; masked weights exactly 0.0 and poison-proof: {zero_ok}",
+        f"bitwise equal: {cellwise_ok}; masked weights exactly 0.0 and poison-proof "
+        f"(masked_softmax and attention): {zero_ok}",
     )
 
 

@@ -189,6 +189,61 @@ class TestFusedOps:
         assert out.shape == (64, 64, 8)
 
 
+class TestFusedLayerOps:
+    """linear, feed_forward, project_heads, conv2d and layer_norm against
+    finite differences and against their composed references."""
+
+    # op name -> (input shapes, extra positional arguments, output weight shape)
+    CASES = {
+        "linear": (((4, 3), (3, 5), (5,)), (), (4, 5)),
+        "feed_forward": (((4, 3), (3, 6), (6,), (6, 3), (3,)), (), (4, 3)),
+        "project_heads": (((5, 4), (4, 4)), (2,), (2, 5, 2)),
+        "conv2d": (((7, 7, 2), (3, 3, 2, 4), (4,)), (), (4, 4, 4)),
+        "layer_norm": (((5, 8), (8,), (8,)), (), (5, 8)),
+    }
+
+    def loss(self, fn, extra, coef):
+        return lambda *ts: ad.mean(ad.mul(fn(*ts, *extra), coef))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_grad(self, name):
+        shapes, extra, out_shape = self.CASES[name]
+        coef = np.random.default_rng(20).normal(size=out_shape)
+        check_op(self.loss(getattr(ad, name), extra, coef), *shapes, seed=21, tol=1e-6)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equals_composed_reference(self, name, composed_ops):
+        shapes, extra, out_shape = self.CASES[name]
+        rng = np.random.default_rng(22)
+        for trial in range(5):
+            arrays = [rng.normal(size=s) for s in shapes]
+            coef = rng.normal(size=out_shape)
+            runs = []
+            for fn in (composed_ops[name], getattr(ad, name)):
+                ins = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out = fn(*ins, *extra)
+                ad.mean(ad.mul(out, coef)).backward()
+                runs.append((out.data, [t.grad for t in ins]))
+            (ref_out, ref_grads), (out, grads) = runs
+            assert np.array_equal(out, ref_out), trial
+            for ref, got in zip(ref_grads, grads):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), trial
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_one_tape_node(self, name):
+        shapes, extra, _ = self.CASES[name]
+        rng = np.random.default_rng(23)
+        ins = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        out = getattr(ad, name)(*ins, *extra)
+        assert out._parents == tuple(ins)
+
+    def test_conv2d_includes_the_relu(self):
+        rng = np.random.default_rng(24)
+        x, w, b = rng.normal(size=(6, 6, 2)), rng.normal(size=(3, 3, 2, 5)), rng.normal(size=5)
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+        assert out.min() == 0.0 and np.any(out > 0.0)
+
+
 def split_heads(t: ad.Tensor, heads: int) -> ad.Tensor:
     n, d = t.shape
     return ad.swapaxes(ad.reshape(t, (n, heads, d // heads)), 0, 1)

@@ -224,6 +224,32 @@ class TestInfer:
         assert code == cli.EXIT_DATA
         assert f"{image}: truncated" in capsys.readouterr().err
 
+    def test_bad_annotation_exits_data_error(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        ann = corpus / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        lines[0] = lines[0].replace('"structure_tokens": [', '"structure_tokens": ["<blink>", ', 1)
+        ann.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert f"{ann}:1: unknown structure token '<blink>'" in capsys.readouterr().err
+
+    def test_non_integer_checkpoint_config_exits_data_error(self, tmp_path, work, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        raw = open(work["ckpt"], "rb").read()
+        assert raw.count(b"\nd=16\n") == 1
+        ckpt.write_bytes(raw.replace(b"\nd=16\n", b"\nd=1x\n"))  # same length
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", work["corpus"], "--model", str(ckpt), "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert "config key d needs an integer, got '1x'" in capsys.readouterr().err
+
     def test_idempotent_and_parallel_flag_recorded(self, tmp_path, work):
         outs = []
         for name in ("p1", "p2"):

@@ -208,11 +208,18 @@ class TestAttention:
         assert np.allclose(z1[0], z2[0], atol=1e-12)  # SOS sees only itself
 
 
+def split_heads(t, heads):
+    # (n, d) -> (heads, n, d / heads)
+    n, d = t.shape
+    return ad.swapaxes(ad.reshape(t, (n, heads, d // heads)), 0, 1)
+
+
 def composed_attention(attn, x, y, mask):
-    """The reference: MultiHeadAttention as ten primitive tape nodes."""
+    """The reference: MultiHeadAttention as seventeen primitive tape nodes."""
     n = x.shape[0]
-    q = attn._split(ad.matmul(x, attn.wq), n)
-    k, v = attn._project(y)
+    q = split_heads(ad.matmul(x, attn.wq), attn.heads)
+    k = split_heads(ad.matmul(y, attn.wk), attn.heads)
+    v = split_heads(ad.matmul(y, attn.wv), attn.heads)
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, 1, 2)), 1.0 / np.sqrt(attn.dh))
     ctx = ad.matmul(ad.masked_softmax(scores, mask), v)  # (heads, n, dh)
     return ad.matmul(ad.reshape(ad.swapaxes(ctx, 0, 1), (n, attn.d)), attn.wo)

@@ -8,6 +8,7 @@ from tabmark import model as M
 from tabmark import synth
 from tabmark import vocab as V
 from tabmark.autodiff import Tensor
+from tabmark.training import sample_loss
 
 SOS = V.CONTENT.sos
 SEP = V.SEP_ID
@@ -79,6 +80,25 @@ class TestModelConfig:
         path.write_bytes(raw.replace(b"in_channels=1\n", b"in_channels=3\n"))
         with pytest.raises(ValueError, match="in_channels"):
             checkpoint.load(str(path))
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("d=1x", "config key d needs an integer, got '1x'"),
+            ("window=", "config key window needs an integer, got ''"),
+            ("enc_channels=4,x,16", "enc_channels needs comma-separated integers, got '4,x,16'"),
+            ("enc_channels=4,8", r"3 positive channel counts, got \(4, 8\)"),
+            ("enc_channels=0,8,16", r"3 positive channel counts, got \(0, 8, 16\)"),
+            ("heads=0", "head count"),
+            ("d=0", "d must be a positive multiple of 4"),
+            ("window=-1", "need window >= 0"),
+            ("ffn_mult=0", "ffn_mult >= 1"),
+            ("image_side=0", "image side must be a positive multiple of 8, got 0"),
+        ],
+    )
+    def test_from_text_names_bad_values(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            M.ModelConfig.from_text(f"d=16\n{line}\n")
 
     def test_with_variant(self):
         cfg = tiny_cfg()
@@ -201,6 +221,17 @@ class TestEncodeImage:
             for j in range(4):
                 if i >= 2 or j >= 2:
                     np.testing.assert_array_equal(a[i, j], b[i, j])
+
+    def test_position_grid_built_once(self, model, monkeypatch):
+        # the 2D codes are computed with the model, not on every image
+        img = np.random.default_rng(2).random((32, 32))
+        x = Tensor(img[:, :, None])
+        for w, b in zip(model.conv_w, model.conv_b):
+            x = ad.conv2d(x, w, b)
+        x = model.enc_proj(ad.reshape(x, (16, 16)))
+        want = model.enc_norm(ad.add(x, L.pos_grid_2d(4, 4, 16))).data
+        monkeypatch.setattr(L, "pos_grid_2d", None)
+        np.testing.assert_array_equal(model.encode_image(img).data, want)
 
 
 class TestHtmlStep:
@@ -445,3 +476,64 @@ class TestEndToEnd:
         cond = m.cell_conditioning(refined, boxes)
         cell_logits = m.cell_step(buf, lay, cond, feats)
         assert cell_logits.shape == (len(buf), len(V.CONTENT))
+
+
+def tape_nodes(root: Tensor) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def fused_layer_outputs(model: M.TableModel, rec: synth.TableRecord) -> dict:
+    """What the fused-layer comparison looks at: the sample_loss gradients,
+    and html_step and cell_step outputs, uncached and cached, as arrays."""
+    cfg = model.cfg
+    model.params.zero_grad()
+    total = sample_loss(model, rec).total
+    total.backward()
+    out = {f"grad {name}": p.grad for name, p in model.params.items() if p.grad is not None}
+    out["tape nodes"] = tape_nodes(total)
+    with ad.no_grad():
+        feats = model.encode_image(synth.prepare_image(rec.image, cfg.image_side))
+        ids = [V.STRUCTURE.sos] + list(rec.structure_ids)
+        out["html"], out["hidden"] = (t.data for t in model.html_step(ids, "ltor", feats))
+        cache = M.DecodeCache(feats)
+        for k in range(1, len(ids) + 1):  # one new row per pass, as decoding does
+            logits, hidden = model.html_step(ids[:k], "ltor", cache)
+        out["html cached"], out["hidden cached"] = logits.data, hidden.data
+
+        cells = [content_ids(c) for c in rec.cells]
+        cond = Tensor(np.random.default_rng(len(cells)).normal(size=(len(cells), cfg.d)))
+        cache = M.DecodeCache(feats)
+        for t in range(max(map(len, cells)) + 1):  # every cell grows by a token per pass
+            buf = [SOS] + [tok for c in cells for tok in c[:t] + [SEP]]
+            layout = M.cell_buffer_layout(buf, len(cells))
+            logits = model.cell_step(buf, layout, cond, cache)
+        out["cell cached"] = logits.data
+        out["cell"] = model.cell_step(buf, layout, cond, feats).data
+    return out
+
+
+class TestFusedLayers:
+    """The model on autodiff's fused layer ops against the same model on the
+    composed references (linear, feed_forward, project_heads, layer_norm and
+    conv2d set onto autodiff): bitwise equal everywhere, on a smaller tape."""
+
+    def test_bitwise_equal_to_the_composed_model(self, composed_ops, monkeypatch):
+        model = M.TableModel(M.ModelConfig())
+        tables = [synth.generate(synth.PRESETS["wide"], seed=s) for s in range(10)]
+        tables += [synth.generate(synth.PRESETS["dense"], seed=s) for s in range(5)]
+        for i, rec in enumerate(tables):
+            fused = fused_layer_outputs(model, rec)
+            with monkeypatch.context() as mp:
+                for name, fn in composed_ops.items():
+                    mp.setattr(ad, name, fn)
+                ref = fused_layer_outputs(model, rec)
+            assert fused.pop("tape nodes") < ref.pop("tape nodes"), i
+            assert fused.keys() == ref.keys(), i
+            for key, want in ref.items():
+                assert np.array_equal(fused[key], want), (i, key)

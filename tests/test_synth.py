@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -182,6 +183,54 @@ class TestCorpusIO:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["count"] == 2 and manifest["master_seed"] == 9
         assert manifest["spec"]["glyph_scale"] == 2
+
+    @staticmethod
+    def corrupt_line(tmp_path, edit) -> str:
+        """A 3-record corpus whose second annotation line is edit(line)."""
+        path = str(tmp_path / "c")
+        synth.emit_corpus(3, synth.PRESETS["wide"], path, master_seed=5)
+        ann = tmp_path / "c" / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        ann.write_text("\n".join(lines) + "\n")
+        return path
+
+    def edit_json(self, change):
+        def edit(line):
+            ann = json.loads(line)
+            change(ann)
+            return json.dumps(ann)
+
+        return edit
+
+    def assert_located(self, path, fault):
+        where = re.escape(os.path.join(path, "annotations.jsonl")) + ":2: "
+        with pytest.raises(ValueError, match=where + fault):
+            synth.load_corpus(path)
+
+    def test_bad_json_is_located(self, tmp_path):
+        path = self.corrupt_line(tmp_path, lambda line: line[:-5])
+        self.assert_located(path, "bad JSON")
+
+    def test_missing_field_is_located(self, tmp_path):
+        for field in ("cells", "structure_tokens", "filename"):
+            path = self.corrupt_line(tmp_path, self.edit_json(lambda a: a.pop(field)))
+            self.assert_located(path, f"field '{field}' missing")
+
+    def test_unknown_structure_token_is_located(self, tmp_path):
+        def change(ann):
+            ann["structure_tokens"][2] = "<blink>"
+
+        path = self.corrupt_line(tmp_path, self.edit_json(change))
+        self.assert_located(path, "unknown structure token '<blink>'")
+
+    @pytest.mark.parametrize("box", [[0.5, 0.5, 0.1], [0.5, 0.5, 0.1, "x"], 7, None])
+    def test_box_not_four_numbers_is_located(self, tmp_path, box):
+        def change(ann):
+            ann["cells"][1]["box"] = box
+
+        path = self.corrupt_line(tmp_path, self.edit_json(change))
+        self.assert_located(path, re.escape(f"cell 1 box {box!r} is not 4 numbers"))
 
     def test_record_regenerable_from_stored_seed(self, tmp_path):
         path = str(tmp_path / "c")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -486,6 +487,39 @@ class TestCheckpointErrors:
         assert again.cfg == m.cfg
         for (n, a), (_, b) in zip(m.params.items(), again.params.items()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert all(b.data.flags.writeable for _, b in again.params.items())
+
+    @staticmethod
+    def header(cfg, tensors) -> bytes:
+        """A checkpoint up to the data of its last tensor: (name, shape) pairs,
+        every tensor but the last followed by its zero-filled data."""
+        text = cfg.to_text().encode("utf-8")
+        out = checkpoint.MAGIC + struct.pack("<I", len(text)) + text
+        out += struct.pack("<I", len(tensors))
+        for i, (name, shape) in enumerate(tensors):
+            raw = name.encode("utf-8")
+            out += struct.pack("<I", len(raw)) + raw
+            out += struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+            if i < len(tensors) - 1:
+                out += bytes(8 * int(np.prod(shape)))
+        return out
+
+    @pytest.mark.parametrize(
+        "tensors, match",
+        [
+            # 2 MB declared for a (3, 3, 1, 4) kernel
+            ([("enc.conv1.w", (512, 512))], r"'enc.conv1.w' has shape \(512, 512\)"),
+            ([("enc.bogus", (512, 512))], "unknown tensor 'enc.bogus'"),
+            ([("enc.conv1.b", (4,)), ("enc.conv1.b", (64, 64))], "duplicate tensor 'enc.conv1.b'"),
+        ],
+        ids=["oversized", "unknown", "duplicate"],
+    )
+    def test_header_checked_before_data_is_read(self, tmp_path, tensors, match):
+        cfg = tiny_cfg()
+        p = tmp_path / "crafted.ckpt"
+        p.write_bytes(self.header(cfg, tensors))  # the declared data is absent
+        with pytest.raises(ValueError, match=match):
+            checkpoint.load(str(p))
 
 
 class TestGradcheck:
