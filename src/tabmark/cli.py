@@ -88,12 +88,7 @@ def resolve(ns: argparse.Namespace) -> dict:
 def model_config(cfg: dict) -> ModelConfig:
     kw = dict(cfg["model"])
     kw.setdefault("seed", cfg["seed"])
-    if "enc_channels" in kw:
-        kw["enc_channels"] = tuple(kw["enc_channels"])
-    try:
-        return ModelConfig(**kw)
-    except TypeError as e:
-        raise ValueError(f"bad model config: {e}") from e
+    return ModelConfig.from_fields(kw)
 
 
 def train_config(cfg: dict) -> TrainConfig:

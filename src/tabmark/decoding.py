@@ -75,10 +75,11 @@ class DecodeState:
     def freeze(self, cell: int) -> None:
         self.frozen[cell] = True
 
-    def read_position(self, cell: int) -> int:
-        """The position whose logits predict the cell's next token: the last
-        token of the cell's segment, or the boundary before it when empty."""
-        return self.cursors[cell] - 1
+    def read_position(self, cells):
+        """The position whose logits predict a cell's next token: the last
+        token of the cell's segment, or the boundary before it when empty.
+        cells is one cell index or a sequence of them."""
+        return np.take(self.cursors, cells) - 1
 
     def segment(self, cell: int) -> list[int]:
         return self.buffer[self.cursors[cell] - self.lengths[cell] : self.cursors[cell]]
@@ -166,9 +167,11 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
     Each pass scores the whole buffer once; every unfrozen cell's next token
     is read at the position before its trailing SEP and (argmax, lowest id on
     ties) either inserted there or, when it is SEP, freezes the cell.  All
-    reads use the pass-start logits, then insertions apply in cell order.
-    Every pass scores only the positions inserted since the last one (see
-    DecodeCache).
+    reads use the pass-start logits, taken in one argmax over the read rows,
+    then insertions apply in cell order.  The first pass scores the initial
+    buffer under the dense cell-wise mask; every later pass scores only the
+    positions inserted since the last one, each against its own cell's
+    gathered keys (see DecodeCache).
     """
     n = cond.shape[0]
     if n == 0:
@@ -191,10 +194,8 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
             layout = cell_buffer_layout(state.buffer, n)
             logits = _logits_of(step(state.buffer, layout, cond, memory))
             state.passes += 1
-            decisions = [
-                (k, int(np.argmax(logits[state.read_position(k)]))) for k in active
-            ]
-            for k, token in decisions:
+            tokens = np.argmax(logits[state.read_position(active)], axis=1).tolist()
+            for k, token in zip(active, tokens):
                 if token in _CELL_STOP:
                     state.freeze(k)
                 else:
@@ -206,8 +207,8 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
 def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
     """Decode the concatenated stream one token per pass, cell after cell.
 
-    Every pass scores only the position inserted by the last one (see
-    DecodeCache).
+    After the first pass, every pass scores only the position inserted by
+    the last one, against its own cell's gathered keys (see DecodeCache).
     """
     n = cond.shape[0]
     if n == 0:

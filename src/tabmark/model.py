@@ -20,11 +20,13 @@ memory, a cache that holds the memory's cross-attention keys and values
 block's self-attention keys and values and the output rows.  A step then
 computes only the positions the cache has not scored.  The rules above make
 this exact: a structure row depends only on its prefix within the causal
-window, so rows are keyed by position and keys older than the window are
+window, so the held rows are a prefix and keys older than the window are
 evicted; a cell row depends only on SOS and the earlier tokens of its own
 cell, so rows are keyed by (mask cell, relative position) and never change
-as other cells grow.  A plain memory Tensor is the no-cache reference path:
-an empty cache, which scores every position as a full pass does.
+as other cells grow, and a new cell row attends only to those keys,
+gathered per row.  A plain memory Tensor is the no-cache reference path: a
+full pass under the dense mask (build_local_mask, build_cellwise_mask), as
+in training, which keeps no rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as L
 from . import vocab as V
-from .autodiff import Tensor
+from .autodiff import NEG_INF, Tensor
 
 VARIANTS = ("bbox", "through", "full")  # also the order ablate writes its rows in
 ZERO_FEAT = -1  # feat_index marker for "no conditioning feature"
@@ -114,6 +116,14 @@ class ModelConfig:
                 continue
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
+        return cls.from_fields(raw)
+
+    @classmethod
+    def from_fields(cls, raw: dict) -> "ModelConfig":
+        """A validated config from field values as text, or as JSON numbers
+        and lists: every value is read through its text, so 5, "5" and 5.0
+        are read alike and a bad value is named with its key."""
+        raw = dict(raw)
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
@@ -124,7 +134,11 @@ class ModelConfig:
                 continue
             many = f.name == "enc_channels"
             try:
-                kwargs[f.name] = tuple(int(x) for x in v.split(",")) if many else int(v)
+                if many:
+                    items = v if isinstance(v, (list, tuple)) else str(v).split(",")
+                    kwargs[f.name] = tuple(int(str(x)) for x in items)
+                else:
+                    kwargs[f.name] = int(str(v))
             except ValueError:
                 need = "comma-separated integers" if many else "an integer"
                 raise ValueError(f"config key {f.name} needs {need}, got {v!r}") from None
@@ -196,39 +210,33 @@ class BufferLayout:
 
 
 def cell_buffer_layout(ids, n_cells: int) -> BufferLayout:
-    """Annotate a content buffer ([SOS, ...]) with mask cells, features, rel positions."""
-    ids = list(ids)
-    if not ids or ids[0] != V.CONTENT.sos:
+    """Annotate a content buffer ([SOS, ...]) with mask cells, features, rel positions.
+
+    Built with whole-buffer NumPy operations from the SEP positions: the k-th
+    SEP closes cell k, so a position's cell is the number of SEPs before it.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or not ids.size or ids[0] != V.CONTENT.sos:
         raise ValueError("content buffer must start with SOS")
-    n = len(ids)
-    mask_cells = np.empty(n, dtype=np.int64)
-    feat_index = np.empty(n, dtype=np.int64)
-    rel_pos = np.empty(n, dtype=np.int64)
+    n = ids.shape[0]
+    sep = ids == V.SEP_ID
+    sos = ids == V.CONTENT.sos
+    cell = np.cumsum(sep) - sep  # SEPs before each position
+    content = ~(sep | sos)
+    stray = np.flatnonzero(sos[1:]) + 1
+    unknown = np.flatnonzero(content & (cell >= n_cells))
+    if stray.size and (not unknown.size or stray[0] < unknown[0]):
+        raise ValueError(f"stray SOS at position {stray[0]}")
+    if unknown.size:
+        p = unknown[0]
+        raise ValueError(f"token at position {p} belongs to unknown cell {cell[p]}")
+    mask_cells = np.where(sep, n_cells + cell, cell)  # SEP islands: unique ids >= n_cells
     mask_cells[0] = L.SOS_CELL
-    feat_index[0] = 0 if n_cells > 0 else ZERO_FEAT
-    rel_pos[0] = 0
-    cell = 0
-    seps_seen = 0
-    offset = 0
-    for p in range(1, n):
-        t = ids[p]
-        if t == V.CONTENT.sos:
-            raise ValueError(f"stray SOS at position {p}")
-        if t == V.SEP_ID:
-            mask_cells[p] = n_cells + seps_seen  # unique island id
-            nxt = seps_seen + 1
-            feat_index[p] = nxt if nxt < n_cells else ZERO_FEAT
-            rel_pos[p] = 0
-            seps_seen += 1
-            cell = seps_seen
-            offset = 0
-        else:
-            if cell >= n_cells:
-                raise ValueError(f"token at position {p} belongs to unknown cell {cell}")
-            mask_cells[p] = cell
-            feat_index[p] = cell
-            rel_pos[p] = offset
-            offset += 1
+    feat_index = cell + sep  # a SEP carries the cell after it
+    feat_index[feat_index >= n_cells] = ZERO_FEAT
+    pos = np.arange(n)
+    rel_pos = pos - np.maximum.accumulate(np.where(content, 0, pos)) - 1  # from last boundary
+    rel_pos[~content] = 0
     return BufferLayout(mask_cells, feat_index, rel_pos)
 
 
@@ -341,10 +349,12 @@ class TableModel:
         if len(dirs) > 1 and isinstance(img_feats, DecodeCache):
             raise ValueError("both students run in one pass only on the plain memory")
         student, positions = np.divmod(np.arange(ids.shape[0]), n)
-        cache = DecodeCache.of(img_feats)
-        new, first = cache.begin(
-            ("structure", direction), ids, range(ids.shape[0]), len(self.html_blocks)
-        )
+        cache = img_feats if isinstance(img_feats, DecodeCache) else None
+        if cache is None:  # a full pass
+            new, first, memory = np.arange(ids.shape[0]), 0, img_feats
+        else:
+            new, first = cache.begin_structure(direction, ids, len(self.html_blocks))
+            memory = cache.memory
         emb = ad.take_rows(self.struct_emb, ids[new])
         dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
         x = ad.add(
@@ -352,14 +362,19 @@ class TableModel:
             self.html_mix_b,
         )
         x = ad.add(x, L.pos_encode_1d(positions[new], self.cfg.d))
-        if len(dirs) == 1:
-            mask = L.build_local_mask(n, self.cfg.window, new, first)
-        else:  # block-diagonal: one causal window per student, over its own rows
+        if len(dirs) > 1:  # block-diagonal: one causal window per student, over its own rows
             mask = np.broadcast_to(L.build_local_mask(n, self.cfg.window), (len(dirs), n, n))
+        elif new.size > 1:
+            mask = L.build_local_mask(n, self.cfg.window, new, first)
+        else:  # one row, the last position: it sees every key it is given
+            mask = None
         for i, blk in enumerate(self.html_blocks):
-            x = blk(x, mask, cache.memory, past=cache.past(i))
+            x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
         hidden = self.html_norm(x)
-        logits, hidden = cache.finish(self.struct_out(hidden), hidden)
+        logits = self.struct_out(hidden)
+        if cache is None:
+            return logits, hidden
+        logits, hidden = cache.finish(logits, hidden)
         # later queries sit at positions >= n and see no key older than n - window
         cache.evict(n - self.cfg.window)
         return logits, hidden
@@ -397,7 +412,9 @@ class TableModel:
         """One pass of the content decoder over a full buffer; logits per position.
 
         img_feats is the image memory or a DecodeCache of it; only the
-        positions the cache has not scored yet are computed.
+        positions the cache has not scored yet are computed.  A full pass
+        (the memory, or a cache's first pass) uses the dense cell-wise mask;
+        a later cached pass attends through each new row's gathered keys.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         n = ids.shape[0]
@@ -408,25 +425,29 @@ class TableModel:
         n_cells = cond.shape[0]
         if np.any(layout.feat_index >= n_cells):
             raise ValueError("layout references a cell with no feature")
-        cache = DecodeCache.of(img_feats)
-        keys = zip(layout.mask_cells.tolist(), layout.rel_pos.tolist())
-        new, first = cache.begin(
-            ("cell", n_cells), ids, keys, len(self.cell_blocks), ad.as_tensor(cond).data
-        )
+        cache = img_feats if isinstance(img_feats, DecodeCache) else None
+        if cache is None:  # a full pass
+            new, mask, memory = np.arange(n), None, img_feats
+        else:
+            new, mask = cache.begin_cells(
+                ids, layout, self.cfg.window, len(self.cell_blocks), ad.as_tensor(cond).data
+            )
+            memory = cache.memory
+        if mask is None:  # every position is scored: the dense cell-wise mask
+            mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)
         emb = ad.take_rows(self.content_emb, ids[new])
         feats_aug = ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))])
-        feat_rows = np.where(layout.feat_index == ZERO_FEAT, n_cells, layout.feat_index)
-        feats = ad.take_rows(feats_aug, feat_rows[new])
+        feat_rows = layout.feat_index[new]
+        feats = ad.take_rows(feats_aug, np.where(feat_rows == ZERO_FEAT, n_cells, feat_rows))
         x = ad.add(
             ad.add(ad.matmul(emb, self.cell_mix_tok), ad.matmul(feats, self.cell_mix_feat)),
             self.cell_mix_b,
         )
         x = ad.add(x, L.pos_encode_1d(layout.rel_pos[new], self.cfg.d))
-        mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window, new, first)
         for i, blk in enumerate(self.cell_blocks):
-            x = blk(x, mask, cache.memory, past=cache.past(i))
-        (logits,) = cache.finish(self.content_out(self.cell_norm(x)))
-        return logits
+            x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
+        logits = self.content_out(self.cell_norm(x))
+        return logits if cache is None else cache.finish(logits)[0]
 
 
 class _MemoryKeys:
@@ -442,11 +463,28 @@ class _MemoryKeys:
         return self.kv
 
 
+def _append(buf, size: int, rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """buf with rows written after its first size entries along axis.  A
+    buffer twice the needed length, holding those entries, replaces one that
+    is too short, so appending costs amortised O(rows)."""
+    end = size + rows.shape[axis]
+    lead = (slice(None),) * axis
+    if buf is None or end > buf.shape[axis]:
+        shape = list(rows.shape)
+        shape[axis] = 2 * end
+        grown = np.empty(shape, rows.dtype)
+        if buf is not None:
+            grown[lead + (slice(0, size),)] = buf[lead + (slice(0, size),)]
+        buf = grown
+    buf[lead + (slice(size, end),)] = rows
+    return buf
+
+
 class _SelfKeys:
     """One self-attention block's keys and values of the held rows, in the
-    order they were scored, in buffers that grow by doubling.  A pass writes
-    its new rows after the held ones and attends to the rows in `order`,
-    which the cache sets; the cache commits them when the pass ends."""
+    order they were scored.  A pass writes its new rows after the held ones
+    and attends to the key rows in `order`, which the cache sets; the cache
+    commits them when the pass ends."""
 
     def __init__(self):
         self.k = self.v = None  # (heads, capacity, dh); rows [0, size) are held
@@ -457,18 +495,13 @@ class _SelfKeys:
     def __call__(self, new_rows, project):
         k, v = project(new_rows)
         self.new = k.shape[1]
-        end = self.size + self.new
-        if self.k is None or end > self.k.shape[1]:
-            grown = [np.empty((a.shape[0], 2 * end, a.shape[2])) for a in (k.data, v.data)]
-            if self.k is not None:
-                grown[0][:, : self.size] = self.k[:, : self.size]
-                grown[1][:, : self.size] = self.v[:, : self.size]
-            self.k, self.v = grown
-        self.k[:, self.size : end] = k.data
-        self.v[:, self.size : end] = v.data
+        self.k = _append(self.k, self.size, k.data, axis=1)
+        self.v = _append(self.v, self.size, v.data, axis=1)
         if self.order is None:  # nothing held: the new rows are all the keys, in order
             return k, v
-        return Tensor(self.k[:, self.order]), Tensor(self.v[:, self.order])
+        if isinstance(self.order, slice):  # a view, not a copy
+            return Tensor(self.k[:, self.order]), Tensor(self.v[:, self.order])
+        return tuple(Tensor(np.take(a, self.order, axis=1)) for a in (self.k, self.v))
 
     def commit(self) -> None:
         self.size += self.new
@@ -488,42 +521,45 @@ class DecodeCache:
     html_step and cell_step take it where they take the image memory.  It
     holds each cross-attention block's memory keys and values, projected once,
     and for every scored position each block's self-attention keys and values
-    and the step's output rows (hidden and logits).  A step computes only the
-    positions it has not scored; they attend to the held rows in buffer order
-    plus each other.  This is exact because no scored row can change as the
-    buffer grows: a structure row sees only its prefix (keyed by position),
-    and a cell row sees only SOS and earlier tokens of its own cell, with its
-    position counted from the cell boundary (keyed by cell and relative
-    position).  A buffer that does not extend the scored one raises
-    ValueError.  A plain memory Tensor gives a step an empty cache, which
-    computes every position exactly as an uncached pass does.
+    and the step's output rows (hidden and logits), in buffers that grow by
+    doubling.  A step computes only the positions it has not scored, with a
+    fixed number of NumPy calls over those rows.  This is exact because no
+    scored row can change as the buffer grows:
+
+    - a structure row sees only its prefix within the window, so the held
+      rows are a prefix of the buffer, the new rows are the rest, and keys
+      older than the window are evicted (a single new row sees every key
+      left, so html_step gives it no mask);
+    - a cell row sees only SOS and the earlier tokens of its own cell within
+      the window, with its position counted from the cell boundary, so rows
+      are found through a (mask cell, relative position) -> row table.  A
+      new cell row attends to a gathered key list, SOS plus its own cell's
+      rows inside the window, padded to the longest list of the pass and
+      masked, as one grouped attention call: no score is computed for
+      another cell.
+
+    The first pass scores every position under the dense mask, as a plain
+    memory Tensor does: that is the no-cache reference path, which keeps no
+    rows at all.  A buffer that does not extend the scored one raises
+    ValueError.
     """
 
     def __init__(self, memory):
         self.memory = memory
         self.owner = None  # what the held rows were scored for
         self.cond = None
-        self.index: dict = {}  # position key -> row
-        self.tokens = np.zeros(0, dtype=np.int64)  # token per row
-        self.outs: list[np.ndarray] = []  # step outputs per row
+        self.held = 0  # rows scored so far
+        self.tokens = np.zeros(0, dtype=np.int64)  # token per row, rows [0, held)
+        self.outs: list[np.ndarray] = []  # step outputs per row, rows [0, held)
+        self.table = np.full((0, 0), -1, dtype=np.int64)  # cells: (mask cell+1, rel) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
         self.first = 0  # rows below this have no keys or values left
         self.rows = None  # row per buffer position of the current pass
-        self.pending = None
+        self.pending = None  # the new rows' tokens and, for cells, table keys
 
-    @classmethod
-    def of(cls, img_feats) -> "DecodeCache":
-        return img_feats if isinstance(img_feats, cls) else cls(img_feats)
-
-    def begin(self, owner, ids: np.ndarray, keys, n_blocks: int, cond=None):
-        """Match a buffer against the held rows.
-
-        Returns the positions to score and the first buffer position they
-        attend to.
-        """
-        held = len(self.tokens)
-        if held and ad.grad_enabled():
+    def _claim(self, owner, n_blocks: int, cond=None) -> None:
+        if self.held and ad.grad_enabled():
             raise ValueError("cached rows carry no gradient; decode under no_grad")
         if self.owner is None:
             self.owner = owner
@@ -534,30 +570,77 @@ class DecodeCache:
             raise ValueError(f"cache holds rows scored for {self.owner}, not {owner}")
         elif cond is not None and not np.array_equal(cond, self.cond):
             raise ValueError("cache holds rows scored for another conditioning")
-        keys = list(keys)
-        n = len(keys)
-        rows = np.fromiter((self.index.get(k, -1) for k in keys), dtype=np.int64, count=n)
-        seen = np.flatnonzero(rows >= 0)
-        if seen.size != held:
-            raise ValueError(f"buffer keeps {seen.size} of the {held} scored positions")
-        bad = np.flatnonzero(self.tokens[rows[seen]] != ids[seen])
+
+    @staticmethod
+    def _check_tokens(got: np.ndarray, want: np.ndarray, positions=None) -> None:
+        """Raise at the first buffer position whose token differs from the
+        one its held row was scored for."""
+        bad = np.flatnonzero(got != want)
         if bad.size:
-            p = seen[bad[0]]
-            raise ValueError(
-                f"position {p} holds token {ids[p]}, scored as {self.tokens[rows[p]]}"
-            )
-        new = np.flatnonzero(rows < 0)
-        rows[new] = np.arange(held, held + new.size)
-        self.rows = rows
-        order = None
+            b = bad[0]
+            p = b if positions is None else positions[b]
+            raise ValueError(f"position {p} holds token {got[b]}, scored as {want[b]}")
+
+    def begin_structure(self, direction: str, ids: np.ndarray, n_blocks: int):
+        """Match a structure buffer against the held rows, a prefix of it.
+
+        Returns the positions to score and the first position they attend to.
+        """
+        self._claim(("structure", direction), n_blocks)
+        held, n = self.held, ids.shape[0]
+        if n < held:
+            raise ValueError(f"buffer keeps {n} of the {held} scored positions")
         if held:
-            order = rows[self.first :] - self.first
-            if np.array_equal(order, np.arange(order.size)):
-                order = slice(0, order.size)  # a view, not a copy
+            self._check_tokens(ids[:held], self.tokens[:held])
+        self.rows = np.arange(n)
+        self.pending = (ids[held:], None)
+        order = slice(0, n - self.first) if held else None  # each self-key store starts at first
         for sk in self.self_keys:
             sk.order = order
-        self.pending = ([keys[p] for p in new], ids[new])
-        return new, self.first
+        return self.rows[held:], self.first
+
+    def begin_cells(self, ids: np.ndarray, layout, window: int, n_blocks: int, cond):
+        """Match a content buffer against the held rows through the table.
+
+        Returns the positions to score and their mask: None when nothing is
+        held (the caller builds the dense one), else a (G, 1, L) mask over
+        each new row's gathered keys, which the self-key stores are set to.
+        """
+        self._claim(("cell", cond.shape[0]), n_blocks, cond)
+        key = (layout.mask_cells + 1, layout.rel_pos)
+        shape = (int(key[0].max()) + 1, int(key[1].max()) + 1)
+        if shape[0] > self.table.shape[0] or shape[1] > self.table.shape[1]:
+            grown = np.full(np.maximum(shape, self.table.shape) * (1, 2), -1, dtype=np.int64)
+            grown[: self.table.shape[0], : self.table.shape[1]] = self.table
+            self.table = grown
+        rows = self.table[key]
+        seen = np.flatnonzero(rows >= 0)
+        if seen.size != self.held:
+            raise ValueError(f"buffer keeps {seen.size} of the {self.held} scored positions")
+        self._check_tokens(ids[seen], self.tokens[rows[seen]], seen)
+        new = np.flatnonzero(rows < 0)
+        rows[new] = np.arange(self.held, self.held + new.size)
+        self.rows = rows
+        self.pending = (ids[new], (key[0][new], key[1][new]))
+        if not self.held:
+            for sk in self.self_keys:
+                sk.order = None
+            return new, None
+        # a new row of cell c at relative position r sees SOS (column 0) and
+        # the positions p - own + 1 .. p of its own cell, own = min(r, window) + 1
+        if new.size:
+            own = np.minimum(layout.rel_pos[new], window) + 1
+            own[layout.mask_cells[new] == L.SOS_CELL] = 0  # SOS is column 0 already
+            cols = np.arange(1 + own.max())
+            visible = (cols >= 1) & (cols <= own[:, None])
+            gather = rows[np.where(visible, (new - own)[:, None] + cols, 0)]  # padding: SOS
+            visible[:, 0] = True
+            mask = np.where(visible, 0.0, NEG_INF)[:, None, :]
+        else:  # nothing to score: one key keeps the attention shapes valid
+            gather, mask = rows[:1], np.zeros((0, 1))
+        for sk in self.self_keys:
+            sk.order = gather.ravel()
+        return new, mask
 
     def past(self, block: int):
         """The key stores of one block, for DecoderBlock(past=...)."""
@@ -566,17 +649,20 @@ class DecodeCache:
     def finish(self, *outs: Tensor) -> tuple[Tensor, ...]:
         """Hold the new rows of each output; return the outputs at full
         buffer length, newly allocated, in buffer order."""
-        keys, tokens = self.pending
-        held = len(self.tokens)
-        self.index.update(zip(keys, range(held, held + len(keys))))
-        self.tokens = np.concatenate([self.tokens, tokens])
+        held, (tokens, keys) = self.held, self.pending
+        end = held + tokens.shape[0]
+        if keys is not None:
+            self.table[keys] = np.arange(held, end)
+        self.tokens = _append(self.tokens, held, tokens)
+        if not held:
+            self.outs = [None] * len(outs)
+        self.outs = [_append(buf, held, o.data) for buf, o in zip(self.outs, outs)]
+        self.held = end
         for sk in self.self_keys:
             sk.commit()
         if not held:  # the new rows are the whole buffer, in order
-            self.outs = [o.data.copy() for o in outs]
             return outs
-        self.outs = [np.concatenate([old, o.data]) for old, o in zip(self.outs, outs)]
-        return tuple(Tensor(a[self.rows]) for a in self.outs)
+        return tuple(Tensor(np.take(buf, self.rows, axis=0)) for buf in self.outs)
 
     def evict(self, first: int) -> None:
         """Drop the keys and values of rows below first, which later passes

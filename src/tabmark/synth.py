@@ -456,15 +456,17 @@ def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
     """Pad an arbitrary grayscale image to square with paper white, then
     bilinear-resize to the model side.  Generated corpora never need this.
 
-    Raises ValueError for anything but a nonempty 2-D array of finite pixels.
+    Raises ValueError for anything but a nonempty 2-D array of pixels in
+    [0, 1], naming the first pixel that is not finite or out of range.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D grayscale array, got shape {img.shape}")
-    bad = np.argwhere(~np.isfinite(img))
+    bad = np.argwhere(~((img >= 0.0) & (img <= 1.0)))  # NaN fails both comparisons
     if bad.size:
         r, c = bad[0]
-        raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, not a finite value")
+        fault = "outside [0, 1]" if np.isfinite(img[r, c]) else "not a finite value"
+        raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, {fault}")
     h, w = img.shape
     s = max(h, w)
     padded = np.full((s, s), PAPER / 255.0)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tabmark
-from tabmark import cli
+from tabmark import cli, synth
 from tabmark.bench import BenchMismatch
 
 TINY_CONFIG = {
@@ -163,6 +163,23 @@ class TestConfigPrecedence:
         assert (ev / "config.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"d": "abc"}, "config key d needs an integer, got 'abc'"),
+            ({"enc_channels": 5}, "enc_channels must be 3 positive channel counts, got (5,)"),
+            ({"window": None}, "config key window needs an integer, got None"),
+        ],
+    )
+    def test_bad_model_value_in_file_is_named(self, tmp_path, work, capsys, model, message):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"model": TINY_CONFIG["model"] | model}))
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(cfgfile), "--corpus", work["corpus"], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 class TestGen:
     def test_count_zero_emits_empty_corpus(self, tmp_path, work):
         out = tmp_path / "empty"
@@ -223,6 +240,17 @@ class TestInfer:
         )
         assert code == cli.EXIT_DATA
         assert f"{image}: truncated" in capsys.readouterr().err
+
+    def test_out_of_range_pixels_exit_data_error(self, work, tmp_path, capsys, monkeypatch):
+        # an image handed on unscaled, with 0..255 pixel values
+        read = synth.read_pgm
+        monkeypatch.setattr(synth, "read_pgm", lambda path: read(path) * 255.0)
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", work["corpus"], "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert "is 255.0, outside [0, 1]" in capsys.readouterr().err
 
     def test_bad_annotation_exits_data_error(self, tmp_path, work, capsys):
         corpus = tmp_path / "corpus"

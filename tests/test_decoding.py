@@ -1,10 +1,13 @@
 """Decoder tests: buffer state machine, greedy structure decode, parallel vs
 sequential cell decoding, and the recognize() pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from tabmark import autodiff as ad
+from tabmark import layers as L
 from tabmark import synth
 from tabmark import vocab as V
 from tabmark.bench import make_scripted_step
@@ -602,3 +605,109 @@ class TestDecodeCache:
             m.html_step([V.STRUCTURE.sos], "ltor", cache)
         with pytest.raises(ValueError, match="no_grad"):
             m.html_step([V.STRUCTURE.sos, V.STRUCTURE["<tr>"]], "ltor", cache)
+
+
+def recording_step(model, plain, logs, scripts=None):
+    """A cell step that records a copy of every pass's real logits.  plain
+    gives each pass the bare memory (the dense-mask reference); scripts, when
+    given, steer the decode as the benchmark's scripted step does."""
+    scripted = make_scripted_step(None, scripts) if scripts is not None else None
+
+    def step(buffer, layout, cond, memory):
+        logits = model.cell_step(buffer, layout, cond, memory.memory if plain else memory)
+        logs.append(logits.data.copy())
+        return logits if scripted is None else scripted(buffer, layout, cond, memory)
+
+    return step
+
+
+def assert_gathered_equals_dense(model, rec, monkeypatch, scripts=None):
+    """Cached cell decoding builds the dense cell-wise mask for its first pass
+    only; every later pass attends through gathered keys.  Under both
+    schedules it equals the uncached dense-mask reference: same tokens and
+    pass counts, logits within 1e-12 at every pass."""
+    cond, feats = conditioned(model, rec)
+    for decode in (decode_cells_parallel, decode_cells_sequential):
+        runs = {}
+        for plain in (False, True):
+            logs, dense = [], []
+            build = L.build_cellwise_mask
+            with monkeypatch.context() as mp:
+                mp.setattr(L, "build_cellwise_mask", lambda *a: dense.append(a) or build(*a))
+                step = recording_step(model, plain, logs, scripts)
+                res = decode(model, cond, feats, step_fn=step)
+            runs[plain] = res, logs, len(dense)
+        (got, got_logs, got_dense), (want, want_logs, want_dense) = runs[False], runs[True]
+        assert [c.ids for c in got.cells] == [c.ids for c in want.cells]
+        assert got.passes == want.passes == len(got_logs) == len(want_logs)
+        assert got.truncated == want.truncated
+        assert (got_dense, want_dense) == (min(got.passes, 1), want.passes)
+        for a, b in zip(got_logs, want_logs):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12
+
+
+class TestGatheredCellKeys:
+    def test_trained_toy_equals_dense_reference(self, trained_toy, wide_corpus, monkeypatch):
+        model, _ = trained_toy
+        for _, rec in wide_corpus:
+            assert_gathered_equals_dense(model, rec, monkeypatch)
+
+    def test_dense_tables_equal_dense_reference(self, monkeypatch):
+        model = TableModel(tiny_cfg(image_side=64, html_blocks=2))
+        spec = synth.PRESETS["dense"]
+        for seed in range(20):
+            rec = synth.generate(spec, seed=seed)
+            scripts = [content_ids(c)[:6] for c in rec.cells]
+            assert_gathered_equals_dense(model, rec, monkeypatch, scripts)
+
+    def test_other_cells_keys_cannot_leak(self):
+        # before each pass, set the held keys and values of every cell but c
+        # (SOS excepted) to 1e6: the rows the pass adds to cell c stay bitwise
+        # equal.  Poisoning cell c's own held rows does change them.  Odd
+        # cells grow two tokens a pass, so new rows have unequal key counts
+        # and the padded key slots are exercised too.
+        model = TableModel(tiny_cfg())
+        rec = synth.generate(synth.PRESETS["wide"], seed=3)
+        cond, feats = conditioned(model, rec)
+        cells = [content_ids(c)[:6] for c in rec.cells]
+        n = len(cells)
+
+        def lengths(t):
+            return [min(len(c), t * (1 + k % 2)) for k, c in enumerate(cells)]
+
+        def buffer(t):
+            segments = [c[:cut] + [V.SEP_ID] for c, cut in zip(cells, lengths(t))]
+            return [V.CONTENT.sos] + [tok for seg in segments for tok in seg]
+
+        cache = DecodeCache(feats)
+        checked = 0
+        with ad.no_grad():
+            model.cell_step(buffer(0), cell_buffer_layout(buffer(0), n), cond, cache)
+            for t in range(1, max(map(len, cells)) + 1):
+                held = cell_buffer_layout(buffer(t - 1), n).mask_cells
+                held_rows = cache.rows  # row of each position of the last buffer
+                cur = buffer(t)
+                layout = cell_buffer_layout(cur, n)
+                want = model.cell_step(cur, layout, cond, copy.deepcopy(cache)).data
+                plain = model.cell_step(cur, layout, cond, feats).data
+                assert np.abs(want - plain).max() <= 1e-12
+                for c in range(n):
+                    new = np.flatnonzero(
+                        (layout.mask_cells == c) & (layout.rel_pos >= lengths(t - 1)[c])
+                    )
+                    if not new.size:
+                        continue
+                    for own in (False, True):
+                        pick = held == c if own else (held != c) & (held != L.SOS_CELL)
+                        if not pick.any():  # cell c holds no row yet
+                            continue
+                        poisoned = copy.deepcopy(cache)
+                        for sk in poisoned.self_keys:
+                            sk.k[:, held_rows[pick]] = 1e6
+                            sk.v[:, held_rows[pick]] = 1e6
+                        got = model.cell_step(cur, layout, cond, poisoned).data
+                        assert np.array_equal(got[new], want[new]) != own, (t, c, own)
+                    checked += new.size
+                model.cell_step(cur, layout, cond, cache)
+        assert checked == sum(map(len, cells)) > n

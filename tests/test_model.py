@@ -127,6 +127,42 @@ class TestCellBox:
         assert out[0] == M.CellBox(1.0, 0.0, 0.5, 0.5)
 
 
+def loop_layout(ids, n_cells: int) -> M.BufferLayout:
+    """cell_buffer_layout as a loop over positions: the reference the
+    vectorised version must equal, errors included."""
+    ids = list(ids)
+    if not ids or ids[0] != SOS:
+        raise ValueError("content buffer must start with SOS")
+    n = len(ids)
+    mask_cells = np.empty(n, dtype=np.int64)
+    feat_index = np.empty(n, dtype=np.int64)
+    rel_pos = np.empty(n, dtype=np.int64)
+    mask_cells[0] = L.SOS_CELL
+    feat_index[0] = 0 if n_cells > 0 else M.ZERO_FEAT
+    rel_pos[0] = 0
+    cell = seps_seen = offset = 0
+    for p in range(1, n):
+        t = ids[p]
+        if t == SOS:
+            raise ValueError(f"stray SOS at position {p}")
+        if t == SEP:
+            mask_cells[p] = n_cells + seps_seen  # unique island id
+            nxt = seps_seen + 1
+            feat_index[p] = nxt if nxt < n_cells else M.ZERO_FEAT
+            rel_pos[p] = 0
+            seps_seen += 1
+            cell = seps_seen
+            offset = 0
+        else:
+            if cell >= n_cells:
+                raise ValueError(f"token at position {p} belongs to unknown cell {cell}")
+            mask_cells[p] = cell
+            feat_index[p] = cell
+            rel_pos[p] = offset
+            offset += 1
+    return M.BufferLayout(mask_cells, feat_index, rel_pos)
+
+
 class TestCellBufferLayout:
     def test_requires_leading_sos(self):
         with pytest.raises(ValueError, match="start with SOS"):
@@ -175,6 +211,34 @@ class TestCellBufferLayout:
                 if prev_boundary and ids[p] != SEP:
                     assert lay.rel_pos[p] == 0
                 prev_boundary = ids[p] == SEP
+
+    def test_equals_the_loop_reference(self):
+        # random buffers, valid ones and ones with a stray SOS, a token past
+        # the last cell or no leading SOS: equal arrays, or the same error
+        rng = np.random.default_rng(17)
+        letters = content_ids("abcdefgh")
+        outcomes = {"layout": 0, "error": 0}
+        for _ in range(2000):
+            n_cells = int(rng.integers(0, 6))
+            ids = [SOS] if rng.random() > 0.02 else []
+            for _ in range(int(rng.integers(0, 30))):
+                r = rng.random()
+                ids.append(SEP if r < 0.25 else SOS if r < 0.27 else int(rng.choice(letters)))
+            try:
+                want = loop_layout(ids, n_cells)
+            except ValueError as e:
+                outcomes["error"] += 1
+                with pytest.raises(ValueError) as got:
+                    M.cell_buffer_layout(ids, n_cells)
+                assert str(got.value) == str(e)
+                continue
+            outcomes["layout"] += 1
+            for source in (ids, np.array(ids), tuple(ids)):
+                got = M.cell_buffer_layout(source, n_cells)
+                for f in ("mask_cells", "feat_index", "rel_pos"):
+                    a, b = getattr(got, f), getattr(want, f)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (ids, n_cells, f)
+        assert min(outcomes.values()) > 200
 
     def test_sep_islands_are_unique(self):
         a, b = content_ids("ab")

@@ -268,6 +268,15 @@ class TestPrepareImage:
         with pytest.raises(ValueError, match=r"2-D .*shape \(9,\)"):
             synth.prepare_image(np.zeros(9), 64)
 
+    @pytest.mark.parametrize("value", [-0.5, 1.0 + 1e-9, 255.0])
+    def test_out_of_range_pixel_located(self, value):
+        img = np.ones((6, 8))
+        img[0, 0] = 0.0  # both ends of the range are accepted
+        img[3, 5] = value
+        img[5, 1] = value
+        with pytest.raises(ValueError, match=rf"pixel \(3, 5\) is {value}, outside \[0, 1\]"):
+            synth.prepare_image(img, 64)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_located(self, value):
         img = np.zeros((6, 8))
