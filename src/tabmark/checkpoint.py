@@ -16,6 +16,7 @@ never half-apply.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -45,14 +46,22 @@ def save(path: str, model: TableModel) -> None:
 
 
 def _read(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError("checkpoint truncated")
-    return raw
+    """The next n bytes; checked against the bytes left first, so a corrupt
+    length cannot ask for a huge read."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{fh.name}: checkpoint truncated")
+    return fh.read(n)
 
 
 def _read_u32(fh) -> int:
     return struct.unpack("<I", _read(fh, 4))[0]
+
+
+def _read_text(fh) -> str:
+    try:
+        return _read(fh, _read_u32(fh)).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{fh.name}: text at byte {fh.tell()} is not UTF-8") from None
 
 
 def load(path: str) -> TableModel:
@@ -60,12 +69,16 @@ def load(path: str) -> TableModel:
     with open(path, "rb") as fh:
         if _read(fh, len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        cfg = ModelConfig.from_text(_read(fh, _read_u32(fh)).decode("utf-8"))
+        text = _read_text(fh)
+        try:
+            cfg = ModelConfig.from_text(text)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         model = TableModel(cfg)
         expected = dict(model.params.items())
         seen: set[str] = set()
         for _ in range(_read_u32(fh)):
-            name = _read(fh, _read_u32(fh)).decode("utf-8")
+            name = _read_text(fh)
             rank = _read_u32(fh)
             shape = tuple(_read_u32(fh) for _ in range(rank))
             # checked before the data is read, so a header cannot ask for a huge read

@@ -22,7 +22,7 @@ from .bench import BenchMismatch, run_bench
 from .decoding import recognize
 from .evaluate import evaluate_pairs, pair_records, read_records, summarize, summary_table
 from .model import VARIANTS, ModelConfig, TableModel
-from .training import LossWeights, TrainConfig, TrainingDiverged, train
+from .training import TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,23 +86,21 @@ def resolve(ns: argparse.Namespace) -> dict:
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    kw = dict(cfg["model"])
+    kw = _section(cfg, "model")
     kw.setdefault("seed", cfg["seed"])
     return ModelConfig.from_fields(kw)
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    kw = dict(cfg["train"])
+    kw = _section(cfg, "train")
     kw.setdefault("seed", cfg["seed"])
-    for key in ("lrs", "stage_proportions"):
-        if key in kw:
-            kw[key] = tuple(kw[key])
-    if "weights" in kw:
-        kw["weights"] = LossWeights(**kw["weights"])
-    try:
-        return TrainConfig(**kw)
-    except TypeError as e:
-        raise ValueError(f"bad train config: {e}") from e
+    return TrainConfig.from_fields(kw)
+
+
+def _section(cfg: dict, name: str) -> dict:
+    if not isinstance(cfg[name], dict):
+        raise ValueError(f"config section {name} needs a JSON object, got {cfg[name]!r}")
+    return dict(cfg[name])
 
 
 def gen_spec(cfg: dict) -> synth.GenSpec:

@@ -3,16 +3,18 @@ the sequential reference decoder, and the staged recognize() pipeline.
 
 Parallel and sequential content decoding produce identical tokens for every
 cell because the cell decoder isolates cells by construction (cell-wise mask,
-segment-relative positions, per-cell conditioning).  The parallel variant
-advances every open cell once per model pass; the sequential variant advances
-one token per pass.  Pass counters make the speedup auditable without a clock:
-parallel needs max(len)+1 passes, sequential needs sum(len+1).
+segment-relative positions, per-cell conditioning).  Both run one loop over
+per-cell token lists: each pass advances every open cell (parallel) or only
+the first open one (sequential) by one token.  Pass counters make the
+speedup auditable without a clock: parallel needs max(len)+1 passes,
+sequential needs sum(len+1).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,46 +33,39 @@ from .model import (
 
 @dataclass
 class DecodeState:
-    """The growing content buffer plus per-cell bookkeeping.
+    """Each cell's decoded tokens and whether it is frozen.
 
-    The buffer always matches SOS + (cell_0 + SEP) + ... + (cell_n-1 + SEP);
-    cursors[k] is the index of cell k's trailing SEP.
+    The content buffer is built from them: SOS + (cell_0 + SEP) + ... +
+    (cell_n-1 + SEP), so it holds that pattern by construction.
     """
 
-    buffer: list[int]
-    cursors: list[int]
+    cells: list[list[int]]
     frozen: list[bool]
-    lengths: list[int]
-    passes: int = 0
 
     @classmethod
     def initial(cls, n_cells: int) -> "DecodeState":
         if n_cells < 0:
             raise ValueError("cell count must be nonnegative")
-        return cls(
-            buffer=[V.CONTENT.sos] + [V.SEP_ID] * n_cells,
-            cursors=list(range(1, n_cells + 1)),
-            frozen=[False] * n_cells,
-            lengths=[0] * n_cells,
-        )
+        return cls(cells=[[] for _ in range(n_cells)], frozen=[False] * n_cells)
 
     @property
-    def n_cells(self) -> int:
-        return len(self.cursors)
+    def buffer(self) -> list[int]:
+        buf = [V.CONTENT.sos]
+        for tokens in self.cells:
+            buf += tokens
+            buf.append(V.SEP_ID)
+        return buf
 
     def unfrozen(self) -> list[int]:
         return [k for k, f in enumerate(self.frozen) if not f]
 
     def insert(self, cell: int, token: int) -> None:
-        """Insert one token immediately before the cell's trailing SEP."""
+        """Append one token to the cell, just before its trailing SEP."""
         if self.frozen[cell]:
             raise ValueError(f"cell {cell} is frozen")
         if token in (V.SEP_ID, V.CONTENT.sos):
             raise ValueError("separators and SOS are not insertable content")
-        self.buffer.insert(self.cursors[cell], token)
-        self.lengths[cell] += 1
-        for j in range(cell, self.n_cells):
-            self.cursors[j] += 1
+        self.cells[cell].append(token)
 
     def freeze(self, cell: int) -> None:
         self.frozen[cell] = True
@@ -79,28 +74,10 @@ class DecodeState:
         """The position whose logits predict a cell's next token: the last
         token of the cell's segment, or the boundary before it when empty.
         cells is one cell index or a sequence of them."""
-        return np.take(self.cursors, cells) - 1
-
-    def segment(self, cell: int) -> list[int]:
-        return self.buffer[self.cursors[cell] - self.lengths[cell] : self.cursors[cell]]
-
-    def check_pattern(self) -> None:
-        """Assert the buffer invariant; raises on any violation."""
-        if not self.buffer or self.buffer[0] != V.CONTENT.sos:
-            raise AssertionError("buffer must start with SOS")
-        pos = 1
-        for k in range(self.n_cells):
-            seg_start = self.cursors[k] - self.lengths[k]
-            if seg_start != pos:
-                raise AssertionError(f"cell {k} segment does not start at {pos}")
-            for p in range(seg_start, self.cursors[k]):
-                if self.buffer[p] in (V.SEP_ID, V.CONTENT.sos):
-                    raise AssertionError(f"boundary token inside cell {k}")
-            if self.buffer[self.cursors[k]] != V.SEP_ID:
-                raise AssertionError(f"cursor of cell {k} does not point at SEP")
-            pos = self.cursors[k] + 1
-        if pos != len(self.buffer):
-            raise AssertionError("trailing tokens after the last SEP")
+        seps = list(accumulate(len(tokens) + 1 for tokens in self.cells))  # each cell's SEP
+        if isinstance(cells, (int, np.integer)):
+            return seps[cells] - 1
+        return [seps[k] - 1 for k in cells]
 
 
 @dataclass
@@ -162,16 +139,27 @@ def _logits_of(step_out) -> np.ndarray:
 
 
 def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
-    """Advance every open cell by one token per model pass.
+    """Advance every open cell by one token per model pass."""
+    return _decode_cells(model, cond, img_feats, step_fn, parallel=True)
 
-    Each pass scores the whole buffer once; every unfrozen cell's next token
+
+def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
+    """Advance only the first open cell by one token per pass, cell after cell."""
+    return _decode_cells(model, cond, img_feats, step_fn, parallel=False)
+
+
+def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -> CellDecode:
+    """The cell-decode loop of both schedules.
+
+    Each pass scores the whole buffer once; every advancing cell's next token
     is read at the position before its trailing SEP and (argmax, lowest id on
-    ties) either inserted there or, when it is SEP, freezes the cell.  All
-    reads use the pass-start logits, taken in one argmax over the read rows,
-    then insertions apply in cell order.  The first pass scores the initial
-    buffer under the dense cell-wise mask; every later pass scores only the
-    positions inserted since the last one, each against its own cell's
-    gathered keys (see DecodeCache).
+    ties) either appended to the cell or, when it is a stop token, freezes
+    it.  All reads use the pass-start logits, taken in one argmax over the
+    read rows.  A pass that would take the buffer past content_cap is not
+    run: the decode stops, truncated, with every open cell as it is.  The
+    first pass scores the initial buffer under the dense cell-wise mask;
+    every later pass scores only the positions added since the last one,
+    each against its own cell's gathered keys (see DecodeCache).
     """
     n = cond.shape[0]
     if n == 0:
@@ -180,64 +168,29 @@ def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> C
     cap = model.cfg.content_cap
     state = DecodeState.initial(n)
     memory = DecodeCache(img_feats)
+    passes = 0
     truncated = False
     with ad.no_grad():
         while True:
-            active = state.unfrozen()
+            open_cells = state.unfrozen()
+            active = open_cells if parallel else open_cells[:1]
             if not active:
                 break
-            if len(state.buffer) + len(active) > cap:
+            buffer = state.buffer
+            if len(buffer) + len(active) > cap:
                 truncated = True
-                for k in active:
-                    state.freeze(k)
                 break
-            layout = cell_buffer_layout(state.buffer, n)
-            logits = _logits_of(step(state.buffer, layout, cond, memory))
-            state.passes += 1
-            tokens = np.argmax(logits[state.read_position(active)], axis=1).tolist()
+            layout = cell_buffer_layout(buffer, n)
+            logits = _logits_of(step(buffer, layout, cond, memory))
+            passes += 1
+            tokens = logits[state.read_position(active)].argmax(axis=1).tolist()
             for k, token in zip(active, tokens):
                 if token in _CELL_STOP:
                     state.freeze(k)
                 else:
                     state.insert(k, token)
-    cells = [V.TokenSeq("content", tuple(state.segment(k))) for k in range(n)]
-    return CellDecode(cells, state.passes, truncated)
-
-
-def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
-    """Decode the concatenated stream one token per pass, cell after cell.
-
-    After the first pass, every pass scores only the position inserted by
-    the last one, against its own cell's gathered keys (see DecodeCache).
-    """
-    n = cond.shape[0]
-    if n == 0:
-        return CellDecode([], 0, False)
-    step = step_fn or model.cell_step
-    cap = model.cfg.content_cap
-    state = DecodeState.initial(n)
-    memory = DecodeCache(img_feats)
-    truncated = False
-    with ad.no_grad():
-        for k in range(n):
-            while not state.frozen[k]:
-                if len(state.buffer) + 1 > cap:
-                    truncated = True
-                    for j in state.unfrozen():
-                        state.freeze(j)
-                    break
-                layout = cell_buffer_layout(state.buffer, n)
-                logits = _logits_of(step(state.buffer, layout, cond, memory))
-                state.passes += 1
-                token = int(np.argmax(logits[state.read_position(k)]))
-                if token in _CELL_STOP:
-                    state.freeze(k)
-                else:
-                    state.insert(k, token)
-            if truncated:
-                break
-    cells = [V.TokenSeq("content", tuple(state.segment(k))) for k in range(n)]
-    return CellDecode(cells, state.passes, truncated)
+    cells = [V.TokenSeq("content", tuple(tokens)) for tokens in state.cells]
+    return CellDecode(cells, passes, truncated)
 
 
 @dataclass

@@ -52,14 +52,17 @@ def build_local_mask(n: int, w: int, rows=None, first: int = 0) -> np.ndarray:
     """Causal sliding window: M_ij = 0 iff 0 <= i-j <= w.
 
     Builds the rows `rows` (default: all n) and the columns first..n-1 of the
-    n x n mask, so a pass pays only for the rows it scores.  Raises ValueError
-    if a built row would see no column.
+    n x n mask, so a pass pays only for the rows it scores.  Every position
+    sees itself, so only a row before first can see no column: that raises
+    ValueError, once per built mask rather than on every attention call.
     """
     if n < 1:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    i = _mask_rows(n, rows, first, sos_visible=False)
+    i = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if i.size and i.min() < first:
+        raise ValueError(f"mask row {i.min()} sees no key at or after column {first}")
     diff = i[:, None] - np.arange(first, n)[None, :]
     return np.where((diff >= 0) & (diff <= w), 0.0, NEG_INF)
 
@@ -67,36 +70,20 @@ def build_local_mask(n: int, w: int, rows=None, first: int = 0) -> np.ndarray:
 SOS_CELL = -1  # layout marker for the SOS position
 
 
-def build_cellwise_mask(layout, w: int, rows=None, first: int = 0) -> np.ndarray:
+def build_cellwise_mask(layout, w: int) -> np.ndarray:
     """M_ij = 0 iff (j is SOS) or (cell(i) == cell(j) and 0 <= i-j <= w).
 
     layout: per-token cell index, SOS_CELL marking the SOS position.  Callers
     give SEP positions unique pseudo-cell ids so separators stay isolated.
-    rows and first select rows and columns as in build_local_mask.
     """
     lay = np.asarray(layout, dtype=np.int64)
     if lay.size == 0:
         raise ValueError("empty layout")
-    n = lay.shape[0]
-    cols = lay[first:]
-    i = _mask_rows(n, rows, first, sos_visible=bool(np.any(cols == SOS_CELL)))
-    diff = i[:, None] - np.arange(first, n)[None, :]
-    same = lay[i][:, None] == cols[None, :]
-    visible = (same & (diff >= 0) & (diff <= w)) | (cols[None, :] == SOS_CELL)
+    i = np.arange(lay.shape[0])
+    diff = i[:, None] - i[None, :]
+    same = lay[:, None] == lay[None, :]
+    visible = (same & (diff >= 0) & (diff <= w)) | (lay[None, :] == SOS_CELL)
     return np.where(visible, 0.0, NEG_INF)
-
-
-def _mask_rows(n: int, rows, first: int, sos_visible: bool) -> np.ndarray:
-    """The row positions of a mask; raises ValueError if a row sees no key.
-
-    Every position sees itself, so only a row before the first column can
-    be fully masked, and then only if no SOS column is left.  The check runs
-    once per built mask, not on every attention call.
-    """
-    i = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    if not sos_visible and i.size and i.min() < first:
-        raise ValueError(f"mask row {i.min()} sees no key at or after column {first}")
-    return i
 
 
 def zero_mask(n: int, m: int) -> np.ndarray:

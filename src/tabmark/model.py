@@ -20,13 +20,13 @@ memory, a cache that holds the memory's cross-attention keys and values
 block's self-attention keys and values and the output rows.  A step then
 computes only the positions the cache has not scored.  The rules above make
 this exact: a structure row depends only on its prefix within the causal
-window, so the held rows are a prefix and keys older than the window are
-evicted; a cell row depends only on SOS and the earlier tokens of its own
-cell, so rows are keyed by (mask cell, relative position) and never change
-as other cells grow, and a new cell row attends only to those keys,
-gathered per row.  A plain memory Tensor is the no-cache reference path: a
-full pass under the dense mask (build_local_mask, build_cellwise_mask), as
-in training, which keeps no rows.
+window, so the held rows are a prefix and a pass attends to the slice of
+held keys inside the window; a cell row depends only on SOS and the earlier
+tokens of its own cell, so rows are keyed by (mask cell, relative position)
+and never change as other cells grow, and a new cell row attends only to
+those keys, gathered per row.  A plain memory Tensor is the no-cache
+reference path: a full pass under the dense mask (build_local_mask,
+build_cellwise_mask), as in training, which keeps no rows.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class ModelConfig:
             raise ValueError(f"in_channels must be 1 (grayscale), got {self.in_channels}")
         if self.refiner_blocks < 1 or self.html_blocks < 1 or self.cell_blocks < 1:
             raise ValueError("block counts must be >= 1")
+        if self.seed < 0:  # the weight generator takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_text(self) -> str:
         lines = []
@@ -121,8 +123,8 @@ class ModelConfig:
     @classmethod
     def from_fields(cls, raw: dict) -> "ModelConfig":
         """A validated config from field values as text, or as JSON numbers
-        and lists: every value is read through its text, so 5, "5" and 5.0
-        are read alike and a bad value is named with its key."""
+        and lists: every value is read through its text, so 5 and "5" are
+        read alike, and a bad value (5.0 among them) is named with its key."""
         raw = dict(raw)
         kwargs = {}
         for f in fields(cls):
@@ -353,7 +355,9 @@ class TableModel:
         if cache is None:  # a full pass
             new, first, memory = np.arange(ids.shape[0]), 0, img_feats
         else:
-            new, first = cache.begin_structure(direction, ids, len(self.html_blocks))
+            new, first = cache.begin_structure(
+                direction, ids, self.cfg.window, len(self.html_blocks)
+            )
             memory = cache.memory
         emb = ad.take_rows(self.struct_emb, ids[new])
         dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
@@ -372,12 +376,7 @@ class TableModel:
             x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
         hidden = self.html_norm(x)
         logits = self.struct_out(hidden)
-        if cache is None:
-            return logits, hidden
-        logits, hidden = cache.finish(logits, hidden)
-        # later queries sit at positions >= n and see no key older than n - window
-        cache.evict(n - self.cfg.window)
-        return logits, hidden
+        return (logits, hidden) if cache is None else cache.finish(logits, hidden)
 
     def fetch_cells(self, struct: StructFeatures) -> Tensor:
         """One feature per cell, taken at the anchors, reading order; (n, d)."""
@@ -507,13 +506,6 @@ class _SelfKeys:
         self.size += self.new
         self.new = 0
 
-    def drop(self, rows: int) -> None:
-        """Forget the oldest rows."""
-        keep = self.size - rows
-        self.k[:, :keep] = self.k[:, rows : self.size]
-        self.v[:, :keep] = self.v[:, rows : self.size]
-        self.size = keep
-
 
 class DecodeCache:
     """What one decode has computed, so that each position is scored once.
@@ -527,9 +519,10 @@ class DecodeCache:
     scored row can change as the buffer grows:
 
     - a structure row sees only its prefix within the window, so the held
-      rows are a prefix of the buffer, the new rows are the rest, and keys
-      older than the window are evicted (a single new row sees every key
-      left, so html_step gives it no mask);
+      rows are a prefix of the buffer and the new rows are the rest.  Every
+      held key is kept, and a pass attends to the slice of them that its
+      first new row can see (a single new row sees that whole slice, so
+      html_step gives it no mask);
     - a cell row sees only SOS and the earlier tokens of its own cell within
       the window, with its position counted from the cell boundary, so rows
       are found through a (mask cell, relative position) -> row table.  A
@@ -554,7 +547,6 @@ class DecodeCache:
         self.table = np.full((0, 0), -1, dtype=np.int64)  # cells: (mask cell+1, rel) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
-        self.first = 0  # rows below this have no keys or values left
         self.rows = None  # row per buffer position of the current pass
         self.pending = None  # the new rows' tokens and, for cells, table keys
 
@@ -581,10 +573,11 @@ class DecodeCache:
             p = b if positions is None else positions[b]
             raise ValueError(f"position {p} holds token {got[b]}, scored as {want[b]}")
 
-    def begin_structure(self, direction: str, ids: np.ndarray, n_blocks: int):
+    def begin_structure(self, direction: str, ids: np.ndarray, window: int, n_blocks: int):
         """Match a structure buffer against the held rows, a prefix of it.
 
-        Returns the positions to score and the first position they attend to.
+        Returns the positions to score and the first position they attend to:
+        the oldest one the first new row sees within the window.
         """
         self._claim(("structure", direction), n_blocks)
         held, n = self.held, ids.shape[0]
@@ -594,10 +587,10 @@ class DecodeCache:
             self._check_tokens(ids[:held], self.tokens[:held])
         self.rows = np.arange(n)
         self.pending = (ids[held:], None)
-        order = slice(0, n - self.first) if held else None  # each self-key store starts at first
+        first = max(held - window, 0)
         for sk in self.self_keys:
-            sk.order = order
-        return self.rows[held:], self.first
+            sk.order = slice(first, n) if held else None
+        return self.rows[held:], first
 
     def begin_cells(self, ids: np.ndarray, layout, window: int, n_blocks: int, cond):
         """Match a content buffer against the held rows through the table.
@@ -663,13 +656,3 @@ class DecodeCache:
         if not held:  # the new rows are the whole buffer, in order
             return outs
         return tuple(Tensor(np.take(buf, self.rows, axis=0)) for buf in self.outs)
-
-    def evict(self, first: int) -> None:
-        """Drop the keys and values of rows below first, which later passes
-        must not attend to.  Only for the structure decoder, whose rows are
-        its positions."""
-        drop = first - self.first
-        if drop > 0:
-            for sk in self.self_keys:
-                sk.drop(drop)
-            self.first = first

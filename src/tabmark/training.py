@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -297,6 +297,66 @@ class TrainConfig:
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
 
+    def validate(self) -> None:
+        """Raise ValueError, naming the key and its value, for a config that
+        would crash the loop or train silently on nothing."""
+        lrs, props = self.lrs, self.stage_proportions
+        checks = (
+            ("epochs", self.epochs >= 1, "an integer >= 1"),
+            ("batch_size", self.batch_size >= 1, "an integer >= 1"),
+            ("lrs", lrs and all(math.isfinite(x) and x >= 0 for x in lrs),
+             "one or more finite learning rates >= 0"),
+            ("stage_proportions", len(props) == len(lrs) and min(props, default=0) >= 0
+             and sum(props) > 0, "integers >= 0 with a positive sum, one per learning rate"),
+            ("weight_decay", math.isfinite(self.weight_decay) and self.weight_decay >= 0,
+             "a finite number >= 0"),
+            ("seed", self.seed >= 0, "an integer >= 0"),
+            ("weights", all(math.isfinite(w) and w >= 0 for w in astuple(self.weights)),
+             "finite loss weights >= 0"),
+        )
+        for key, ok, need in checks:
+            if not ok:
+                raise ValueError(f"train config key {key} needs {need}, got {getattr(self, key)!r}")
+
+    @classmethod
+    def from_fields(cls, raw) -> "TrainConfig":
+        """A validated config from JSON values.  As in ModelConfig.from_fields,
+        every number is read through its text by its field's type and a bad
+        value is named with its key; weights is an object of loss weights."""
+        kwargs = _read_fields(cls, raw, "train config")
+        if "weights" in kwargs:
+            kwargs["weights"] = LossWeights(**_read_fields(LossWeights, raw["weights"],
+                                                           "train config weights"))
+        cfg = cls(**kwargs)
+        cfg.validate()
+        return cfg
+
+
+def _read_fields(cls, raw, where: str) -> dict:
+    """The field values of cls in a JSON object, each number read through its
+    text by the type of the field's default; `where` names the object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} needs a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    defaults, kwargs = cls(), dict(raw)
+    for key, v in raw.items():
+        like = getattr(defaults, key)
+        many = isinstance(like, tuple)
+        kind = type(like[0] if many else like)
+        if kind not in (int, float):  # an object, read on its own
+            continue
+        try:
+            if many and not isinstance(v, (list, tuple)):
+                raise ValueError
+            kwargs[key] = tuple(kind(str(x)) for x in v) if many else kind(str(v))
+        except ValueError:
+            need = "an integer" if kind is int else "a number"
+            need = f"a list, each item {need}" if many else need
+            raise ValueError(f"{where} key {key} needs {need}, got {v!r}") from None
+    return kwargs
+
 
 def lr_schedule(epochs: int, lrs=(1e-3, 1e-4, 1e-5), proportions=(25, 3, 2)) -> list[float]:
     """Per-epoch learning rate; stage lengths proportional to `proportions`.
@@ -332,6 +392,7 @@ def train(
     fields) and model.ckpt there.
     """
     tcfg = tcfg or TrainConfig()
+    tcfg.validate()
     records = [r[1] if isinstance(r, tuple) else r for r in corpus]
     if not records:
         raise ValueError("empty corpus")

@@ -180,6 +180,42 @@ class TestConfigPrecedence:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            (
+                {"lrs": [], "stage_proportions": []},
+                "train config key lrs needs one or more finite learning rates >= 0, got ()",
+            ),
+            ({"epochs": "abc"}, "train config key epochs needs an integer, got 'abc'"),
+            ({"lrs": 5}, "train config key lrs needs a list, each item a number, got 5"),
+            (
+                {"stage_proportions": [0, 0, 0]},
+                "train config key stage_proportions needs integers >= 0 with a positive sum, "
+                "one per learning rate, got (0, 0, 0)",
+            ),
+            (
+                {"stage_proportions": [1, -1, 1]},
+                "train config key stage_proportions needs integers >= 0 with a positive sum, "
+                "one per learning rate, got (1, -1, 1)",
+            ),
+            (
+                {"lrs": [float("nan"), 1, 1]},
+                "train config key lrs needs one or more finite learning rates >= 0, "
+                "got (nan, 1.0, 1.0)",
+            ),
+        ],
+    )
+    def test_bad_train_value_in_file_is_named(self, tmp_path, work, capsys, train, message):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"model": TINY_CONFIG["model"], "train": train}))
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(cfgfile), "--corpus", work["corpus"], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+
 class TestGen:
     def test_count_zero_emits_empty_corpus(self, tmp_path, work):
         out = tmp_path / "empty"

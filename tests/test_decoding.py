@@ -2,6 +2,7 @@
 sequential cell decoding, and the recognize() pipeline."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from tabmark import synth
 from tabmark import vocab as V
 from tabmark.bench import make_scripted_step
 from tabmark.decoding import (
+    _CELL_STOP,
     DecodeState,
     decode_cells_parallel,
     decode_cells_sequential,
     decode_html,
     recognize,
 )
-from tabmark.model import DecodeCache, ModelConfig, TableModel, cell_buffer_layout
+from tabmark.model import ZERO_FEAT, DecodeCache, ModelConfig, TableModel, cell_buffer_layout
 
 
 def tiny_cfg(**kw):
@@ -61,59 +63,80 @@ def conditioned(model, record):
     return cond, feats
 
 
+def flat_buffer(cells):
+    """[SOS] + (cell + [SEP]) for each cell: the content buffer pattern."""
+    return [V.CONTENT.sos] + [tok for cell in cells for tok in list(cell) + [V.SEP_ID]]
+
+
+def assert_state_pattern(st):
+    """The buffer is built from the cells, and each read position holds the
+    cell's last token, or the boundary before the cell while it is empty."""
+    buf = st.buffer
+    assert buf == flat_buffer(st.cells)
+    for k in range(len(st.cells)):
+        pos = st.read_position(k)
+        want = st.cells[k][-1] if st.cells[k] else (V.SEP_ID if k else V.CONTENT.sos)
+        assert buf[pos] == want
+        assert buf[pos + 1] == V.SEP_ID  # the cell's trailing SEP follows
+        assert buf[pos + 1 - len(st.cells[k]) : pos + 1] == st.cells[k]
+    every = range(len(st.cells))
+    assert st.read_position(list(every)) == [st.read_position(k) for k in every]
+
+
 class TestDecodeState:
     def test_initial_layout(self):
         st = DecodeState.initial(2)
         assert st.buffer == [V.CONTENT.sos, V.SEP_ID, V.SEP_ID]
-        assert st.cursors == [1, 2]
+        assert st.cells == [[], []]
         assert st.frozen == [False, False]
-        assert st.lengths == [0, 0]
-        st.check_pattern()
+        assert_state_pattern(st)
 
     def test_initial_empty(self):
         st = DecodeState.initial(0)
         assert st.buffer == [V.CONTENT.sos]
-        st.check_pattern()
+        assert st.unfrozen() == []
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             DecodeState.initial(-1)
 
-    def test_insert_shifts_cursors(self):
+    def test_insert_appends_before_the_sep(self):
         st = DecodeState.initial(2)
         st.insert(0, 7)
         assert st.buffer == [V.CONTENT.sos, 7, V.SEP_ID, V.SEP_ID]
-        assert st.cursors == [2, 3]
-        assert st.lengths == [1, 0]
+        assert st.cells == [[7], []]
         st.insert(1, 9)
         assert st.buffer == [V.CONTENT.sos, 7, V.SEP_ID, 9, V.SEP_ID]
-        assert st.cursors == [2, 4]
-        st.check_pattern()
+        assert_state_pattern(st)
 
     def test_read_position_is_before_the_sep(self):
         st = DecodeState.initial(2)
         assert st.read_position(0) == 0  # SOS boundary while empty
         assert st.read_position(1) == 1  # cell 0's SEP boundary
+        assert st.read_position([1, 0]) == [1, 0]
         st.insert(0, 7)
         assert st.buffer[st.read_position(0)] == 7
         st.insert(0, 8)
         assert st.buffer[st.read_position(0)] == 8
         assert st.buffer[st.read_position(1)] == V.SEP_ID
+        assert st.read_position(np.int64(1)) == 3
 
     def test_segments(self):
         st = DecodeState.initial(3)
         for t in (5, 6):
             st.insert(0, t)
         st.insert(2, 9)
-        assert st.segment(0) == [5, 6]
-        assert st.segment(1) == []
-        assert st.segment(2) == [9]
+        assert st.cells == [[5, 6], [], [9]]
+        assert st.buffer == [V.CONTENT.sos, 5, 6, V.SEP_ID, V.SEP_ID, 9, V.SEP_ID]
+        assert_state_pattern(st)
 
     def test_frozen_cell_rejects_insert(self):
-        st = DecodeState.initial(1)
+        st = DecodeState.initial(2)
         st.freeze(0)
+        assert st.unfrozen() == [1]
         with pytest.raises(ValueError, match="frozen"):
             st.insert(0, 5)
+        assert st.cells == [[], []]
 
     def test_boundary_tokens_not_insertable(self):
         st = DecodeState.initial(1)
@@ -121,9 +144,10 @@ class TestDecodeState:
             st.insert(0, V.SEP_ID)
         with pytest.raises(ValueError):
             st.insert(0, V.CONTENT.sos)
+        assert st.cells == [[]]
 
     def test_pattern_fuzz_random_insertion_orders(self):
-        # the invariant must hold after every single insertion, whatever the
+        # the pattern must hold after every single insertion, whatever the
         # interleaving across cells
         rng = np.random.default_rng(0)
         for trial in range(30):
@@ -137,21 +161,10 @@ class TestDecodeState:
             while any(queues):
                 k = int(rng.choice([j for j in range(n) if queues[j]]))
                 st.insert(k, queues[k].pop(0))
-                st.check_pattern()
+                assert_state_pattern(st)
             # same-cell order is preserved even though cells interleave
-            got = [st.segment(k) for k in range(n)]
-            assert got == want
-
-    def test_check_pattern_catches_corruption(self):
-        st = DecodeState.initial(2)
-        st.insert(0, 7)
-        st.buffer[0] = V.SEP_ID
-        with pytest.raises(AssertionError):
-            st.check_pattern()
-        st2 = DecodeState.initial(2)
-        st2.buffer[1] = 9  # content where a SEP belongs, bookkeeping unaware
-        with pytest.raises(AssertionError):
-            st2.check_pattern()
+            assert st.cells == want
+            assert st.buffer == flat_buffer(want)
 
 
 def force_structure(model, token_id):
@@ -289,6 +302,113 @@ class TestScriptedDecoding:
         assert [list(c.ids) for c in par.cells] == scripts
         assert [list(c.ids) for c in seq.cells] == scripts
         assert par.passes == 5 and seq.passes == 8
+
+
+def loop_decode_reference(cap, n, step, parallel):
+    """The two cell-decode loops as they were before both schedules shared
+    one loop over per-cell token lists: a flat buffer that each token is
+    inserted into, with every later cell's SEP cursor shifted by one."""
+    if n == 0:
+        return [], 0, False
+    buffer = [V.CONTENT.sos] + [V.SEP_ID] * n
+    cursors, lengths, frozen = list(range(1, n + 1)), [0] * n, [False] * n
+    passes, truncated = 0, False
+
+    def insert(k, token):
+        buffer.insert(cursors[k], token)
+        lengths[k] += 1
+        for j in range(k, n):
+            cursors[j] += 1
+
+    def advance(k, token):
+        if token in _CELL_STOP:
+            frozen[k] = True
+        else:
+            insert(k, token)
+
+    if parallel:
+        while True:
+            active = [k for k in range(n) if not frozen[k]]
+            if not active:
+                break
+            if len(buffer) + len(active) > cap:
+                truncated = True
+                for k in active:
+                    frozen[k] = True
+                break
+            logits = step(buffer, cell_buffer_layout(buffer, n), None, None)
+            passes += 1
+            tokens = np.argmax(logits[np.take(cursors, active) - 1], axis=1).tolist()
+            for k, token in zip(active, tokens):
+                advance(k, token)
+    else:
+        for k in range(n):
+            while not frozen[k]:
+                if len(buffer) + 1 > cap:
+                    truncated = True
+                    frozen = [True] * n
+                    break
+                logits = step(buffer, cell_buffer_layout(buffer, n), None, None)
+                passes += 1
+                advance(k, int(np.argmax(logits[cursors[k] - 1])))
+            if truncated:
+                break
+    cells = [buffer[c - ell : c] for c, ell in zip(cursors, lengths)]
+    return cells, passes, truncated
+
+
+def stop_step(scripts, stops, seen):
+    """A scripted cell step that records a copy of every buffer it is given.
+    Each position's logits argmax to the next token of the cell it predicts,
+    or to that cell's stop token once its script is done."""
+    n = len(scripts)
+    longest = max((len(s) for s in scripts), default=0)
+    table = np.repeat(np.array(stops, dtype=np.int64)[:, None], longest + 1, axis=1)
+    for c, script in enumerate(scripts):
+        table[c, : len(script)] = script
+
+    def step(buffer, layout, cond, memory):
+        seen.append(list(buffer))
+        boundary = layout.mask_cells >= n
+        boundary[0] = True
+        nxt = np.where(boundary, 0, np.minimum(layout.rel_pos + 1, longest))
+        live = layout.feat_index != ZERO_FEAT
+        tokens = np.full(len(buffer), V.CONTENT.eos)
+        tokens[live] = table[layout.feat_index[live], nxt[live]]
+        logits = np.zeros((len(buffer), len(V.CONTENT)))
+        logits[np.arange(len(buffer)), tokens] = 1.0
+        return logits
+
+    return step
+
+
+class TestOneLoop:
+    def test_both_schedules_equal_the_two_loop_reference(self):
+        # 0-8 cells of 0-12 tokens, each ended by a stop token drawn from
+        # _CELL_STOP; a third of the caps cut the decode short
+        rng = np.random.default_rng(8)
+        content = [t for t in range(len(V.CONTENT)) if t not in _CELL_STOP]
+        stops = sorted(_CELL_STOP)
+        truncated = 0
+        for trial in range(300):
+            n = int(rng.integers(0, 9))
+            scripts = [
+                [int(t) for t in rng.choice(content, size=rng.integers(0, 13))] for _ in range(n)
+            ]
+            ends = [int(rng.choice(stops)) for _ in range(n)]
+            full = 1 + sum(len(s) + 1 for s in scripts)
+            cap = int(rng.integers(1, full + 2)) if trial % 3 == 0 else 8000
+            model = SimpleNamespace(cfg=SimpleNamespace(content_cap=cap))
+            for parallel, decode in ((True, decode_cells_parallel), (False, decode_cells_sequential)):
+                want_seen, got_seen = [], []
+                want = loop_decode_reference(cap, n, stop_step(scripts, ends, want_seen), parallel)
+                got = decode(model, np.zeros((n, 4)), None, step_fn=stop_step(scripts, ends, got_seen))
+                assert ([list(c.ids) for c in got.cells], got.passes, got.truncated) == want
+                assert got_seen == want_seen
+                if not want[2]:
+                    assert want[0] == scripts
+                truncated += want[2]
+        assert truncated > 100
 
 
 class TestParallelSequentialEquivalence:
@@ -499,14 +619,29 @@ class TestDecodeCache:
         scripts = [content_ids(c) for c in rec.cells]  # cells longer than the window
         assert max(len(s) for s in scripts) > 3
         assert_cache_exact(m, rec.image, steer_to(body), scripts)
-        # only the last `window` positions keep keys and values
+        # held keys and values older than the window cannot reach a new row:
+        # setting them to 1e6 leaves it bitwise unchanged, while poisoning a
+        # key inside the window changes it
         feats = m.encode_image(synth.prepare_image(rec.image, 32))
         cache = DecodeCache(feats)
+        checked = 0
         with ad.no_grad():
             for k in range(1, len(body) + 2):
-                m.html_step([V.STRUCTURE.sos] + body[: k - 1], "ltor", cache)
-        assert cache.first == len(body) + 1 - 2
-        assert all(sk.size == 2 for sk in cache.self_keys)
+                ids = [V.STRUCTURE.sos] + body[: k - 1]
+                first = cache.held - 2
+                if first > 0:
+                    want = [t.data[-1] for t in m.html_step(ids, "ltor", copy.deepcopy(cache))]
+                    for rows, changes in ((slice(0, first), False), (slice(first, first + 1), True)):
+                        poisoned = copy.deepcopy(cache)
+                        for sk in poisoned.self_keys:
+                            sk.k[:, rows] = 1e6
+                            sk.v[:, rows] = 1e6
+                        got = m.html_step(ids, "ltor", poisoned)
+                        same = [np.array_equal(t.data[-1], w) for t, w in zip(got, want)]
+                        assert same == [not changes] * 2, (k, rows)
+                    checked += 1
+                m.html_step(ids, "ltor", cache)
+        assert checked == len(body) + 1 - 3
 
     def test_in_place_overwrite_leaves_later_passes_unchanged(self):
         m = TableModel(tiny_cfg())

@@ -1,0 +1,129 @@
+"""Seeded fuzz tests over untrusted inputs: damaged checkpoints and random
+JSON configs.  Each input must load or raise a ValueError, never another
+error, so the CLI exits 2 with a located message."""
+
+import math
+import struct
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from tabmark import checkpoint, cli
+from tabmark.model import ModelConfig, TableModel
+from tabmark.training import LossWeights, TrainConfig
+
+TINY = ModelConfig(
+    image_side=32, d=16, heads=2, html_blocks=1, cell_blocks=1, refiner_blocks=1,
+    ffn_mult=2, enc_channels=(4, 8, 16), struct_cap=60, content_cap=80, seed=5,
+)
+
+
+def header_offsets(raw: bytes) -> list[int]:
+    """The offsets of every byte outside the tensors' float data: magic,
+    config, count and each tensor's name and shape."""
+    out = list(range(8))
+    pos = 8
+
+    def u32():
+        nonlocal pos
+        out.extend(range(pos, pos + 4))
+        pos += 4
+        return struct.unpack_from("<I", raw, pos - 4)[0]
+
+    def text():
+        nonlocal pos
+        n = u32()
+        out.extend(range(pos, pos + n))
+        pos += n
+
+    text()
+    for _ in range(u32()):
+        text()
+        shape = [u32() for _ in range(u32())]
+        pos += 8 * math.prod(shape)
+    assert pos == len(raw)
+    return out
+
+
+def assert_loads_or_names_path(path):
+    try:
+        model = checkpoint.load(str(path))
+    except ValueError as e:
+        assert str(path) in str(e), str(e)
+    else:
+        assert isinstance(model, TableModel)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    checkpoint.save(str(path), TableModel(TINY))
+    return path.read_bytes()
+
+
+def test_truncated_checkpoints_fail_naming_the_path(saved, tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "cut.ckpt"
+    for cut in rng.integers(0, len(saved), size=50):
+        path.write_bytes(saved[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            checkpoint.load(str(path))
+        assert str(path) in str(err.value)
+
+
+def test_flipped_bytes_load_or_fail_naming_the_path(saved, tmp_path):
+    # half of the flips hit the headers, where a byte steers the parse; the
+    # other half land anywhere, mostly in the float data
+    rng = np.random.default_rng(2)
+    heads = header_offsets(saved)
+    offsets = list(rng.choice(heads, size=25)) + list(rng.integers(0, len(saved), size=25))
+    path = tmp_path / "flip.ckpt"
+    for at in offsets:
+        raw = bytearray(saved)
+        raw[at] ^= int(rng.integers(1, 256))
+        path.write_bytes(bytes(raw))
+        assert_loads_or_names_path(path)
+
+
+KEYS = [f.name for cls in (ModelConfig, TrainConfig, LossWeights) for f in fields(cls)]
+KEYS += ["bogus", ""]
+
+
+def random_json(rng, depth=0):
+    """A random JSON value: scalars of every kind, or a list or object whose
+    keys are mostly config keys."""
+    kind = int(rng.integers(0, 9 if depth < 2 else 6))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(0, 2))
+    if kind == 2:
+        return int(rng.choice([-1, 0, 1, 2, 3, 4, 8, 16, 300, 10**20]))
+    if kind == 3:
+        return float(rng.choice([0.0, 0.5, 1e-3, -1.0, 3.0, np.nan, np.inf, -np.inf, 1e308]))
+    if kind == 4:
+        return str(rng.choice(["", "5", "abc", "1,2,3", "4,8,16", "nan", "full", "bbox", " 7 "]))
+    if kind == 5:
+        return [random_json(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+    return {
+        str(rng.choice(KEYS)): random_json(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))
+    }
+
+
+def test_random_json_configs_give_a_config_or_a_value_error():
+    rng = np.random.default_rng(3)
+    made = {ModelConfig: 0, TrainConfig: 0}
+    for _ in range(200):
+        section = random_json(rng, depth=1)
+        seed = random_json(rng, depth=2) if rng.integers(0, 4) == 0 else 0
+        for read, name, cls in ((cli.model_config, "model", ModelConfig),
+                                (cli.train_config, "train", TrainConfig)):
+            try:
+                cfg = read({"seed": seed, name: section})
+            except ValueError:
+                continue
+            assert isinstance(cfg, cls)
+            made[cls] += 1
+    # the ones that parse are valid: they made it through validate()
+    assert made[ModelConfig] > 0 and made[TrainConfig] > 0

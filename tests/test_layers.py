@@ -91,30 +91,15 @@ class TestMasks:
             n = int(rng.integers(1, 40))
             w = int(rng.integers(0, 8))
             first = int(rng.integers(0, n))
-            layout = [L.SOS_CELL] + list(rng.integers(0, 5, size=n - 1))
-            cellwise = L.build_cellwise_mask(layout, w)
             local = L.build_local_mask(n, w)
-            # the rows a pass scores lie at or after first; cell rows may
-            # also precede it while the SOS column is kept
+            # the rows a pass scores lie at or after first
             count = int(rng.integers(0, n - first + 1))
             rows = np.sort(rng.choice(np.arange(first, n), size=count, replace=False))
             assert np.array_equal(L.build_local_mask(n, w, rows, first), local[rows, first:])
-            assert np.array_equal(
-                L.build_cellwise_mask(layout, w, rows, first), cellwise[rows, first:]
-            )
-            any_rows = rng.integers(0, n, size=int(rng.integers(0, 6)))
-            assert np.array_equal(
-                L.build_cellwise_mask(layout, w, any_rows), cellwise[any_rows]
-            )
 
     def test_row_before_first_column_is_rejected(self):
         with pytest.raises(ValueError, match="sees no key"):
             L.build_local_mask(6, 3, [2, 4], first=3)
-        # without the SOS column a cell row before first sees nothing either
-        layout = [L.SOS_CELL, 0, 0, 1, 1]
-        with pytest.raises(ValueError, match="sees no key"):
-            L.build_cellwise_mask(layout, 3, [1, 3], first=2)
-        assert L.build_cellwise_mask(layout, 3, [1], first=0).shape == (1, 5)
 
     def test_every_row_has_an_unmasked_entry(self):
         rng = np.random.default_rng(0)
