@@ -236,7 +236,9 @@ def cmd_bench(ns) -> int:
     samples = cfg["bench"]["samples"]
     images = [rec.image for _, rec in corpus]
     if samples is not None:
-        images = images[: int(samples)]
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+            raise ValueError(f"bench.samples must be an integer >= 1, got {samples!r}")
+        images = images[:samples]
     dump_config(
         ns.out,
         {

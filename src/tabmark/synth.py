@@ -265,17 +265,8 @@ def generate(spec: GenSpec, seed) -> TableRecord:
     for r in range(n_rows):
         ids.append(V.STRUCTURE[V.TR_OPEN])
         for cell in sorted(by_row.get(r, []), key=lambda c: c.c):
-            if cell.rowspan == 1 and cell.colspan == 1:
-                ids.append(V.STRUCTURE[V.TD_MERGED])
-            else:
-                is_complex = True
-                ids.append(V.STRUCTURE[V.TD_OPEN])
-                if cell.colspan > 1:
-                    ids.append(V.STRUCTURE[f' colspan="{cell.colspan}"'])
-                if cell.rowspan > 1:
-                    ids.append(V.STRUCTURE[f' rowspan="{cell.rowspan}"'])
-                ids.append(V.STRUCTURE[V.GT])
-                ids.append(V.STRUCTURE[V.TD_CLOSE])
+            ids += V.cell_tokens(cell.colspan, cell.rowspan)
+            is_complex |= cell.colspan > 1 or cell.rowspan > 1
         ids.append(V.STRUCTURE[V.TR_CLOSE])
 
     seed_tuple = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
@@ -359,8 +350,9 @@ def record_to_annotation(rec: TableRecord, rec_id: str, filename: str) -> dict:
 
 def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
     """Raises ValueError naming the fault for a missing or mistyped field, an
-    unknown structure token or a cell that is not a text with a box of 4
-    numbers."""
+    unknown structure token, a structure that does not spell a supported
+    table, a cell count or ``complex`` flag that disagrees with the structure,
+    or a cell that is not a text with a box of 4 numbers."""
     for key, kind in (("structure_tokens", list), ("cells", list), ("complex", bool)):
         if not isinstance(ann.get(key), kind):
             raise ValueError(f"field {key!r} missing or not a {kind.__name__}")
@@ -370,6 +362,13 @@ def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
         if i is None:
             raise ValueError(f"unknown structure token {t!r}")
         ids.append(i)
+    V._validate_structure(ids)
+    n_cells = len(V.iter_cells(ids))
+    if len(ann["cells"]) != n_cells:
+        raise ValueError(f"{len(ann['cells'])} cells for a structure of {n_cells}")
+    if ann["complex"] != (V.STRUCTURE[V.TD_OPEN] in ids):  # valid: <td opens only a span
+        have = "no" if ann["complex"] else "a"
+        raise ValueError(f"field 'complex' is {ann['complex']}, but the structure has {have} span")
     for k, c in enumerate(ann["cells"]):
         if not isinstance(c, dict) or not isinstance(c.get("text"), str):
             raise ValueError(f"cell {k} has no text string")

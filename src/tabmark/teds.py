@@ -1,4 +1,7 @@
-"""Tree-edit-distance similarity for table HTML.
+"""Tree-edit-distance similarity for table HTML, and the one table HTML parser.
+
+html_to_tree() is the one parser for table HTML: vocab tokenizes and eval
+scores through it.  Markup outside the subset is a located ValueError.
 
 ted() is an exact ordered-tree edit distance (keyroot/forest-distance dynamic
 program) with unit insert/delete cost.  Rename costs 1 when labels differ;
@@ -29,7 +32,8 @@ _CONTAINERS = ("table", "thead", "tbody", "tr")
 
 
 class _TreeParser(HTMLParser):
-    """Accepts the table subset plus thead/tbody wrappers as plain nodes."""
+    """Accepts the table subset plus thead/tbody wrappers as plain nodes; a td
+    label is 'td' plus its spans above 1 as name="k", colspan first."""
 
     def __init__(self, mode: str):
         super().__init__(convert_charrefs=True)
@@ -71,6 +75,8 @@ class _TreeParser(HTMLParser):
         for name, value in attrs:
             if name not in ("colspan", "rowspan"):
                 self._fail(f"unsupported attribute {name!r}")
+            if name in spans:
+                self._fail(f"duplicate attribute {name!r}")
             try:
                 k = int(value) if value is not None else 1
             except ValueError:

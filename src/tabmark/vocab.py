@@ -2,14 +2,16 @@
 
 Structure tokens are literal HTML fragments: plain cells collapse to a single
 ``<td></td>`` token, while cells carrying a span attribute split into the
-opening fragment, one token per attribute, ``>``, and ``</td>``.  Cell text is
-tokenized per character over a small fixed alphabet.
+opening fragment, one token per attribute, ``>``, and ``</td>``, as
+``cell_tokens`` spells them; HTML is parsed by ``teds.html_to_tree``.  Cell
+text is tokenized per character over a small fixed alphabet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from html.parser import HTMLParser
+
+from .teds import html_to_tree
 
 PAD = "<pad>"
 SOS = "<sos>"
@@ -141,120 +143,43 @@ class TokenSeq:
                 seen_eos = True
 
 
-class _TableParser(HTMLParser):
-    """Strict parser for the supported table subset; anything else is an error."""
-
-    ALLOWED_ATTRS = ("colspan", "rowspan")
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.ids: list[int] = []
-        self.stack: list[str] = []  # open tags: table / tr / td
-        self.cell_texts: list[str] = []
-        self._text: list[str] | None = None
-        self._pending: list[int] = []
-        self.saw_table = False
-
-    def _fail(self, msg: str) -> None:
-        line, col = self.getpos()
-        raise ValueError(f"line {line}, column {col}: {msg}")
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        if tag == "table":
-            if self.stack or self.saw_table:
-                self._fail("unexpected <table>")
-            self.stack.append("table")
-            self.saw_table = True
-        elif tag == "tr":
-            if self.stack != ["table"]:
-                self._fail("<tr> outside <table>")
-            self.stack.append("tr")
-            self.ids.append(STRUCTURE[TR_OPEN])
-        elif tag == "td":
-            if self.stack != ["table", "tr"]:
-                self._fail("<td> outside <tr>")
-            self.stack.append("td")
-            self._text = []
-            self._emit_td(attrs)
-        else:
-            self._fail(f"unsupported tag <{tag}>")
-
-    def _emit_td(self, attrs: list[tuple[str, str | None]]) -> None:
-        spans: dict[str, int] = {}
-        for name, value in attrs:
-            if name not in self.ALLOWED_ATTRS:
-                self._fail(f"unsupported attribute {name!r} on <td>")
-            if name in spans:
-                self._fail(f"duplicate attribute {name!r}")
-            try:
-                k = int(value) if value is not None else 1
-            except ValueError:
-                self._fail(f"non-integer {name}={value!r}")
-                return
-            if not 1 <= k <= MAX_SPAN:
-                self._fail(f"{name}={k} outside 1..{MAX_SPAN}")
-            spans[name] = k
-        spans = {n: k for n, k in spans.items() if k > 1}
-        if not spans:
-            self._pending = [STRUCTURE[TD_MERGED]]
-            return
-        ids = [STRUCTURE[TD_OPEN]]
-        for name in self.ALLOWED_ATTRS:  # canonical order: colspan then rowspan
-            if name in spans:
-                ids.append(STRUCTURE[f' {name}="{spans[name]}"'])
-        ids.append(STRUCTURE[GT])
-        self._pending = ids
-
-    def handle_endtag(self, tag: str) -> None:
-        if not self.stack or self.stack[-1] != tag:
-            self._fail(f"mismatched </{tag}>")
-        self.stack.pop()
-        if tag == "td":
-            self.ids.extend(self._pending)
-            if self._pending != [STRUCTURE[TD_MERGED]]:
-                self.ids.append(STRUCTURE[TD_CLOSE])
-            self._pending = []
-            self.cell_texts.append("".join(self._text or []))
-            self._text = None
-        elif tag == "tr":
-            self.ids.append(STRUCTURE[TR_CLOSE])
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        self.handle_starttag(tag, attrs)
-        self.handle_endtag(tag)
-
-    def handle_data(self, data: str) -> None:
-        if self._text is not None:
-            self._text.append(data)
-        elif data.strip():
-            self._fail(f"text outside <td>: {data.strip()[:20]!r}")
-
-
-def parse_table(html: str) -> tuple[list[int], list[str]]:
-    """Parse a table into (structure token ids, per-cell text).
-
-    Raises ValueError with line/column on any construct outside the
-    supported subset (nested tables, unknown tags, stray text, bad spans).
-    """
-    parser = _TableParser()
-    parser.feed(html)
-    parser.close()
-    if parser.stack:
-        raise ValueError(f"unclosed tag <{parser.stack[-1]}>")
-    if not parser.saw_table:
-        raise ValueError("no <table> element found")
-    return parser.ids, parser.cell_texts
+def cell_tokens(colspan: int, rowspan: int) -> list[int]:
+    """One cell's tokens: <td></td> when it spans nothing, else the opening
+    fragment, one token per span above 1 in canonical order (colspan, then
+    rowspan), '>' and </td>."""
+    if colspan == rowspan == 1:
+        return [STRUCTURE[TD_MERGED]]
+    ids = [STRUCTURE[TD_OPEN]]
+    if colspan > 1:
+        ids.append(STRUCTURE[f' colspan="{colspan}"'])
+    if rowspan > 1:
+        ids.append(STRUCTURE[f' rowspan="{rowspan}"'])
+    return ids + [STRUCTURE[GT], STRUCTURE[TD_CLOSE]]
 
 
 def tokenize_structure(html: str) -> TokenSeq:
-    """Structure tokens of a table; cell text is ignored here."""
-    ids, _ = parse_table(html)
+    """Structure tokens of a table; cell text is ignored here.
+
+    Parses with teds.html_to_tree, whose ValueError locates any construct
+    outside the table subset by line and column.  On top of that it rejects
+    what the vocabulary cannot spell: a <table> child other than <tr> and a
+    span above MAX_SPAN.
+    """
+    ids: list[int] = []
+    for r, row in enumerate(html_to_tree(html, "structural").children):
+        if row.label != "tr":
+            raise ValueError(f"unsupported <{row.label}> in <table>")
+        ids.append(STRUCTURE[TR_OPEN])
+        for c, cell in enumerate(row.children):
+            spans = {"colspan": 1, "rowspan": 1}
+            for part in cell.label.split(" ")[1:]:  # the spans above 1, as name="k"
+                name, value = part.split("=")
+                spans[name] = int(value.strip('"'))
+                if spans[name] > MAX_SPAN:
+                    raise ValueError(f"row {r}, cell {c}: {part} outside 1..{MAX_SPAN}")
+            ids += cell_tokens(spans["colspan"], spans["rowspan"])
+        ids.append(STRUCTURE[TR_CLOSE])
     return TokenSeq("structure", tuple(ids))
-
-
-_SPAN_IDS = frozenset(
-    STRUCTURE[f' {name}="{k}"'] for name in ("colspan", "rowspan") for k in range(2, MAX_SPAN + 1)
-)
 
 
 def iter_cells(ids) -> list[int]:
@@ -267,51 +192,21 @@ def detokenize_structure(seq: TokenSeq | list[int] | tuple[int, ...]) -> str:
     """Rebuild the HTML string; rejects sequences no parse could produce."""
     ids = seq.ids if isinstance(seq, TokenSeq) else tuple(seq)
     _validate_structure(ids)
-    return "<table>" + "".join(STRUCTURE.decode(i) for i in ids) + "</table>"
+    return render_html(ids, [])
 
 
-def _validate_structure(ids: tuple[int, ...]) -> None:
-    tr_open, tr_close = STRUCTURE[TR_OPEN], STRUCTURE[TR_CLOSE]
-    merged, td_open, gt, td_close = (
-        STRUCTURE[TD_MERGED],
-        STRUCTURE[TD_OPEN],
-        STRUCTURE[GT],
-        STRUCTURE[TD_CLOSE],
-    )
-    colspan_ids = frozenset(STRUCTURE[f' colspan="{k}"'] for k in range(2, MAX_SPAN + 1))
-    rowspan_ids = frozenset(STRUCTURE[f' rowspan="{k}"'] for k in range(2, MAX_SPAN + 1))
-    i, n = 0, len(ids)
-    while i < n:
-        if ids[i] != tr_open:
-            raise ValueError(f"position {i}: expected {TR_OPEN}, got {STRUCTURE.decode(ids[i])!r}")
-        i += 1
-        while i < n and ids[i] != tr_close:
-            if ids[i] == merged:
-                i += 1
-            elif ids[i] == td_open:
-                i += 1
-                saw_span = False
-                if i < n and ids[i] in colspan_ids:
-                    saw_span = True
-                    i += 1
-                if i < n and ids[i] in rowspan_ids:
-                    saw_span = True
-                    i += 1
-                if not saw_span:
-                    raise ValueError(f"position {i}: {TD_OPEN} without span attribute")
-                if i >= n or ids[i] != gt:
-                    raise ValueError(f"position {i}: expected {GT!r} after span attributes")
-                i += 1
-                if i >= n or ids[i] != td_close:
-                    raise ValueError(f"position {i}: expected {TD_CLOSE} after {GT!r}")
-                i += 1
-            else:
-                raise ValueError(
-                    f"position {i}: unexpected {STRUCTURE.decode(ids[i])!r} inside row"
-                )
-        if i >= n:
-            raise ValueError("unterminated row")
-        i += 1  # consume tr_close
+def _validate_structure(ids) -> None:
+    """Accept exactly what tokenize_structure produces: the markup the ids
+    spell must tokenize back to the same ids."""
+    ids = tuple(ids)
+    try:
+        again = tokenize_structure(render_html(ids, [])).ids
+    except ValueError as e:
+        raise ValueError(f"tokens spell no supported table: {e}") from None
+    if again != ids:
+        k = next(k for k, (a, b) in enumerate(zip(ids + (None,), again + (None,))) if a != b)
+        got, want = (STRUCTURE.decode(s[k]) if k < len(s) else "the end" for s in (ids, again))
+        raise ValueError(f"position {k}: expected {want!r}, got {got!r}")
 
 
 def render_html(structure_ids, cell_texts) -> str:

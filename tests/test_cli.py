@@ -302,6 +302,20 @@ class TestInfer:
         assert code == cli.EXIT_DATA
         assert f"{ann}:1: unknown structure token '<blink>'" in capsys.readouterr().err
 
+    def test_cell_count_disagreeing_with_structure_exits_data_error(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        ann = corpus / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["cells"].append(first["cells"][0])
+        lines[0] = json.dumps(first)
+        ann.write_text("\n".join(lines) + "\n")
+        n = len(first["cells"])
+        code = cli.main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_DATA
+        assert f"{ann}:1: {n} cells for a structure of {n - 1}" in capsys.readouterr().err
+
     def test_non_integer_checkpoint_config_exits_data_error(self, tmp_path, work, capsys):
         ckpt = tmp_path / "bad.ckpt"
         raw = open(work["ckpt"], "rb").read()
@@ -443,6 +457,22 @@ class TestBench:
             )
             == 2
         )
+
+    def bench_with_samples(self, tmp_path, work, samples) -> int:
+        cfgfile = tmp_path / "bench.json"
+        cfgfile.write_text(json.dumps({"bench": {"samples": samples}}))
+        args = ["bench", "--config", str(cfgfile), "--corpus", work["corpus"]]
+        return cli.main(args + ["--model", work["ckpt"], "--out", str(tmp_path / "b")])
+
+    @pytest.mark.parametrize("samples", [-3, 0, True, "abc", "5", 2.5])
+    def test_bad_samples_value_is_named(self, tmp_path, work, capsys, samples):
+        assert self.bench_with_samples(tmp_path, work, samples) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"bench.samples must be an integer >= 1, got {samples!r}" in err
+
+    def test_samples_cuts_the_corpus(self, tmp_path, work, capsys):
+        assert self.bench_with_samples(tmp_path, work, 3) == cli.EXIT_DATA
+        assert "at least 20 samples, got 3" in capsys.readouterr().err
 
 
 class TestAblate:

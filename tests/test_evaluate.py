@@ -42,6 +42,13 @@ class TestScorePair:
         with pytest.raises(ValueError):
             score_pair("<div></div>", SIMPLE)
 
+    def test_duplicate_span_attribute_does_not_parse(self):
+        twice = '<table><tr><td colspan="2" colspan="3">a</td></tr></table>'
+        row = score_pair(COMPLEX, twice)
+        assert row["structural"] == 0.0 and row["total"] == 0.0
+        with pytest.raises(ValueError, match="sample 'd': line 1, column 11: duplicate attribute"):
+            evaluate_pairs([("d", twice, SIMPLE)])
+
 
 class TestEvaluatePairs:
     def pairs(self):

@@ -1,7 +1,8 @@
-"""Seeded fuzz tests over untrusted inputs: damaged checkpoints and random
-JSON configs.  Each input must load or raise a ValueError, never another
-error, so the CLI exits 2 with a located message."""
+"""Seeded fuzz tests over untrusted inputs: damaged checkpoints, random JSON
+configs and random corpus annotations.  Each input must load or raise a
+ValueError, never another error, so the CLI exits 2 with a located message."""
 
+import json
 import math
 import struct
 from dataclasses import fields
@@ -9,7 +10,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tabmark import checkpoint, cli
+from tabmark import checkpoint, cli, synth
+from tabmark import vocab as V
 from tabmark.model import ModelConfig, TableModel
 from tabmark.training import LossWeights, TrainConfig
 
@@ -127,3 +129,38 @@ def test_random_json_configs_give_a_config_or_a_value_error():
             made[cls] += 1
     # the ones that parse are valid: they made it through validate()
     assert made[ModelConfig] > 0 and made[TrainConfig] > 0
+
+
+def test_random_annotations_load_valid_or_fail_located(tmp_path):
+    # structures are generated ones after up to 2 random token edits; the
+    # cell count and the complex flag are right or off by a little
+    rng = np.random.default_rng(4)
+    synth.emit_corpus(3, synth.PRESETS["wide"], str(tmp_path), master_seed=4)
+    ann_path = tmp_path / "annotations.jsonl"
+    lines = ann_path.read_text().splitlines()
+    loaded = 0
+    for _ in range(200):
+        line = int(rng.integers(0, len(lines)))
+        ann = json.loads(lines[line])
+        tokens = ann["structure_tokens"]
+        for _ in range(int(rng.integers(0, 3))):
+            at = int(rng.integers(0, len(tokens) + 1))
+            width, new = int(rng.integers(0, 2)), int(rng.integers(-1, len(V.STRUCTURE)))
+            tokens[at : at + width] = [V.STRUCTURE.decode(new)] if new >= 0 else []
+        n_cells = sum(t in (V.TD_MERGED, V.TD_CLOSE) for t in tokens)
+        n_cells = max(0, n_cells + int(rng.choice([-1, 0, 0, 0, 1])))
+        ann["cells"] = [{"text": "a", "box": [0.5, 0.5, 0.1, 0.1]}] * n_cells
+        ann["complex"] = (V.TD_OPEN in tokens) != (rng.random() < 0.1)
+        edited = lines[:line] + [json.dumps(ann)] + lines[line + 1 :]
+        ann_path.write_text("\n".join(edited) + "\n")
+        try:
+            records = synth.load_corpus(str(tmp_path))
+        except ValueError as e:
+            assert str(e).startswith(f"{ann_path}:{line + 1}: "), str(e)
+            continue
+        rec = records[line][1]
+        V._validate_structure(rec.structure_ids)
+        assert len(V.iter_cells(rec.structure_ids)) == len(rec.cells)
+        assert rec.is_complex == (V.STRUCTURE[V.TD_OPEN] in rec.structure_ids)
+        loaded += 1
+    assert 20 < loaded < 180

@@ -224,6 +224,33 @@ class TestCorpusIO:
         path = self.corrupt_line(tmp_path, self.edit_json(change))
         self.assert_located(path, "unknown structure token '<blink>'")
 
+    @pytest.mark.parametrize(
+        "change, fault",
+        [
+            (
+                lambda a: a["structure_tokens"].insert(2, "<eos>"),
+                "tokens spell no supported table: line 1, column 20: unsupported tag <eos>",
+            ),
+            (
+                lambda a: a["structure_tokens"].insert(1, "<tr>"),
+                "tokens spell no supported table: line 1, column 11: <tr> in <tr>",
+            ),
+            (
+                lambda a: a["structure_tokens"].__setitem__(slice(1, 2), ["<td", ">", "</td>"]),
+                "position 1: expected '<td></td>', got '<td'",
+            ),
+            (lambda a: a["cells"].append(dict(a["cells"][0])), "7 cells for a structure of 6"),
+            (lambda a: a["cells"].pop(), "5 cells for a structure of 6"),
+            (
+                lambda a: a.__setitem__("complex", True),
+                "field 'complex' is True, but the structure has no span",
+            ),
+        ],
+    )
+    def test_structure_disagreement_is_located(self, tmp_path, change, fault):
+        path = self.corrupt_line(tmp_path, self.edit_json(change))
+        self.assert_located(path, re.escape(fault))
+
     @pytest.mark.parametrize("box", [[0.5, 0.5, 0.1], [0.5, 0.5, 0.1, "x"], 7, None])
     def test_box_not_four_numbers_is_located(self, tmp_path, box):
         def change(ann):

@@ -57,6 +57,8 @@ class TestHtmlToTree:
     def test_parse_failure_reports_position(self):
         with pytest.raises(ValueError, match="line 1, column"):
             T.html_to_tree("<table><tr><div>x</div></tr></table>")
+        with pytest.raises(ValueError, match="line 1, column 11: duplicate attribute 'colspan'"):
+            T.html_to_tree('<table><tr><td colspan="2" colspan="3"></td></tr></table>')
         with pytest.raises(ValueError):
             T.html_to_tree("<table><tr><td>x</td>")
         with pytest.raises(ValueError):
