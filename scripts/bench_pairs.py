@@ -1,0 +1,127 @@
+"""Run perfbench/run.py on two trees in alternating pairs and write a BENCH_<slug>.json.
+
+    git archive <parent-commit> | tar -x -C <parent-dir>
+    git archive <change-commit> | tar -x -C <change-dir>
+    python3 scripts/bench_pairs.py --parent <parent-dir> --change <change-dir> \\
+        --parent-commit <sha> --slug <slug> --what "<one line>" --pairs 10 \\
+        --workloads recognize_dense recognize_wide train_wide --claim recognize_dense
+
+Pair i runs seed i+1 on both sides with `--trace 0` and BENCHMARK.json's
+run_seconds; the parent runs first in even pairs, the change in odd ones.
+Every run is kept.  The summary gives, per workload and end-to-end metric,
+each side's median and quartiles, the ratio of the medians (change over
+parent) and the number of pairs the change won.  A claimed metric is met when
+the change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD_PREFIX = "run_record "
+MACHINE_KEYS = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads_env",
+                "model_config")
+
+
+def run(tree: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """One perfbench run in tree: its result line and its run record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd + ["--trace", "0"], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
+    lines = proc.stdout.splitlines()
+    record = next(ln for ln in lines if ln.startswith(RECORD_PREFIX))
+    return json.loads(lines[-1]), json.loads(record[len(RECORD_PREFIX):])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    pairs = sorted({r["seed"] for r in runs})
+    side = {s: {r["seed"]: r for r in runs if r["side"] == s} for s in ("parent", "change")}
+    out: dict = {"pairs": len(pairs)}
+    for name, direction in better.items():
+        p = [side["parent"][s]["metrics"][name] for s in pairs]
+        c = [side["change"][s]["metrics"][name] for s in pairs]
+        wins = sum((b < a) if direction == "lower" else (b > a) for a, b in zip(p, c))
+        pq1, pmed, pq3 = quartiles(p)
+        cq1, cmed, cq3 = quartiles(c)
+        out[name] = {
+            "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
+            "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
+            "ratio": cmed / pmed, "change_wins": wins,
+            "claim_rule_met": wins >= 0.9 * len(pairs) and abs(cmed - pmed) > pq3 - pq1,
+        }
+    out["failed"] = {s: sum(side[s][k]["failed"] for k in pairs) for s in side}
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--slug", required=True)
+    ap.add_argument("--what", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--claim", default=None, help="the workload whose op_s.p50 is claimed")
+    ns = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    command = (
+        f"python3 scripts/bench_pairs.py --parent <parent-dir> --change <change-dir> "
+        f"--parent-commit {ns.parent_commit} --slug {ns.slug} --pairs {ns.pairs} "
+        f"--first-seed {ns.first_seed} --workloads {' '.join(ns.workloads)}"
+        + (f" --claim {ns.claim}" if ns.claim else "")
+    )
+    path = os.path.join(ROOT, f"BENCH_{ns.slug}.json")
+    runs: dict[str, list[dict]] = {w: [] for w in ns.workloads}
+    machine = None
+    for w in ns.workloads:
+        for i in range(ns.pairs):
+            seed = ns.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result, record = run(getattr(ns, side), w, seed)
+                machine = machine or {k: record[k] for k in MACHINE_KEYS}
+                runs[w].append({
+                    "seed": seed, "side": side, "correct": result["correct"],
+                    "attempted": result["attempted"], "failed": result["failed"],
+                    "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                })
+                print(w, seed, side, json.dumps(runs[w][-1]["metrics"]), flush=True)
+        done = {k: v for k, v in runs.items() if v}
+        payload = {
+            "slug": ns.slug,
+            "what": ns.what,
+            "command": command,
+            "parent_commit": ns.parent_commit,
+            "machine": machine,
+            "inputs": "default ModelConfig (machine.model_config), untrained weights, "
+                      "scripted structure and cell lengths",
+            "run_seconds": spec["run_seconds"],
+            "claimed": None if ns.claim is None else {"workload": ns.claim, "metric": "op_s.p50"},
+            "summary": {k: summarize(v, better) for k, v in done.items()},
+            "runs": done,
+        }
+        with open(path, "w", encoding="utf-8") as fh:  # rewritten after each workload
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+    print(f"wrote {os.path.relpath(path, ROOT)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,20 +30,24 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
     script is exhausted, so parallel and sequential decoding both follow the
     scripts exactly.  When a model is given, the real cell_step still runs
     and its output is discarded: wall time stays honest while lengths are
-    controlled.
+    controlled.  A decoded structure with more cells than there are scripts
+    raises ValueError; scripts past its cell count are not used.
     """
-    n_cells = len(scripts)
     width = len(V.CONTENT)
     # table[c, j]: the token after the j-th token of cell c; SEP once past its end
     longest = max((len(s) for s in scripts), default=0)
-    table = np.full((n_cells, longest + 1), V.SEP_ID, dtype=np.int64)
+    table = np.full((len(scripts), longest + 1), V.SEP_ID, dtype=np.int64)
     for c, script in enumerate(scripts):
         table[c, : len(script)] = script
 
     def step(buffer, layout, cond, img_feats):
         if model is not None:
             model.cell_step(buffer, layout, cond, img_feats)
-        n = len(buffer)
+        n, n_cells = len(buffer), cond.shape[0]
+        if n_cells > len(scripts):
+            raise ValueError(
+                f"the structure has {n_cells} cells but there are {len(scripts)} scripts"
+            )
         cell = layout.feat_index
         boundary = layout.mask_cells >= n_cells
         boundary[0] = True

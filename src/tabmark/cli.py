@@ -97,6 +97,13 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig.from_fields(kw)
 
 
+def config_int(value, key: str, low: int) -> int:
+    """A JSON config integer read by type: an int, not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _section(cfg: dict, name: str) -> dict:
     if not isinstance(cfg[name], dict):
         raise ValueError(f"config section {name} needs a JSON object, got {cfg[name]!r}")
@@ -144,9 +151,7 @@ def write_json(out_dir: str, name: str, payload) -> None:
 def cmd_gen(ns) -> int:
     cfg = resolve(ns)
     spec = gen_spec(cfg)
-    count = int(cfg["gen"]["count"])
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    count = config_int(cfg["gen"]["count"], "gen.count", 0)
     dump_config(
         ns.out,
         {
@@ -236,9 +241,7 @@ def cmd_bench(ns) -> int:
     samples = cfg["bench"]["samples"]
     images = [rec.image for _, rec in corpus]
     if samples is not None:
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-            raise ValueError(f"bench.samples must be an integer >= 1, got {samples!r}")
-        images = images[:samples]
+        images = images[: config_int(samples, "bench.samples", 1)]
     dump_config(
         ns.out,
         {
@@ -274,9 +277,7 @@ def ablation_table(rows: list[dict], directional: bool) -> str:
 
 def cmd_ablate(ns) -> int:
     cfg = resolve(ns)
-    count = int(cfg["gen"]["count"])
-    if count < 1:
-        raise ValueError("ablation needs a nonempty corpus per preset")
+    count = config_int(cfg["gen"]["count"], "gen.count", 1)  # a corpus per preset
     dump_config(
         ns.out,
         {

@@ -69,7 +69,19 @@ class ModelConfig:
     def grid(self) -> int:
         return self.image_side // self.downsample
 
+    # upper bounds: a size out of all proportion fails here, named, rather than
+    # in an allocation; the caps also bound the position-code table (pos_codes)
+    LIMITS = {
+        "image_side": 2048, "d": 1024, "heads": 64, "html_blocks": 16, "cell_blocks": 16,
+        "refiner_blocks": 16, "ffn_mult": 8, "window": 65536, "struct_cap": 65536,
+        "content_cap": 65536, "enc_channels": 1024,
+    }
+
     def validate(self) -> None:
+        for key, bound in self.LIMITS.items():
+            value = getattr(self, key)
+            if (max(value, default=0) if isinstance(value, tuple) else value) > bound:
+                raise ValueError(f"{key} must be at most {bound}, got {value}")
         if self.heads < 1 or self.d < 4 or self.d % 4 != 0 or self.d % self.heads != 0:
             raise ValueError(
                 "d must be a positive multiple of 4 and of the head count (>= 1), "
@@ -271,6 +283,7 @@ class TableModel:
         self.enc_proj = L.Linear(ps, "enc.proj", c3, d)
         self.enc_pos = L.pos_grid_2d(cfg.grid, cfg.grid, d)  # added to the encoder output
         self.enc_pos.flags.writeable = False
+        self.pos_table = np.zeros((0, d))  # see pos_codes
         self.enc_norm = L.LayerNorm(ps, "enc.norm", d)
 
         self.struct_emb = ps.make("html.emb", (len(V.STRUCTURE), d), "embedding")
@@ -302,6 +315,16 @@ class TableModel:
         ]
         self.cell_norm = L.LayerNorm(ps, "cell.norm", d)
         self.content_out = L.Linear(ps, "cell.out", d, len(V.CONTENT))
+
+    def pos_codes(self, positions: np.ndarray) -> np.ndarray:
+        """The rows pos_encode_1d(positions, d), taken from a table of the
+        codes of 0..k-1.  The table doubles when a position reaches past it,
+        up to the longer cap, which bounds every position a step takes."""
+        top = int(positions.max(initial=-1)) + 1
+        if top > self.pos_table.shape[0]:
+            size = min(2 * top, max(self.cfg.struct_cap, self.cfg.content_cap))
+            self.pos_table = L.pos_encode_1d(np.arange(size), self.cfg.d)
+        return self.pos_table[positions]
 
     # -- stages --------------------------------------------------------------
 
@@ -365,7 +388,7 @@ class TableModel:
             ad.add(ad.matmul(emb, self.html_mix_tok), ad.take_rows(dir_vecs, student[new])),
             self.html_mix_b,
         )
-        x = ad.add(x, L.pos_encode_1d(positions[new], self.cfg.d))
+        x = ad.add(x, self.pos_codes(positions[new]))
         if len(dirs) > 1:  # block-diagonal: one causal window per student, over its own rows
             mask = np.broadcast_to(L.build_local_mask(n, self.cfg.window), (len(dirs), n, n))
         elif new.size > 1:
@@ -442,7 +465,7 @@ class TableModel:
             ad.add(ad.matmul(emb, self.cell_mix_tok), ad.matmul(feats, self.cell_mix_feat)),
             self.cell_mix_b,
         )
-        x = ad.add(x, L.pos_encode_1d(layout.rel_pos[new], self.cfg.d))
+        x = ad.add(x, self.pos_codes(layout.rel_pos[new]))
         for i, blk in enumerate(self.cell_blocks):
             x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
         logits = self.content_out(self.cell_norm(x))
@@ -451,14 +474,19 @@ class TableModel:
 
 class _MemoryKeys:
     """One cross-attention block's keys and values of the image memory,
-    projected on the first call and reused after."""
+    projected on the first call and reused after.  The keys are held as a
+    contiguous (heads, dh, m) K^T and handed out as its transposed view, so
+    each pass's q K^T reads them in the layout the product wants; the values
+    are held contiguous too."""
 
     def __init__(self):
         self.kv = None
 
     def __call__(self, memory, project):
         if self.kv is None:
-            self.kv = project(memory)
+            k, v = project(memory)
+            kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
+            self.kv = Tensor(np.swapaxes(kt, 1, 2)), Tensor(np.ascontiguousarray(v.data))
         return self.kv
 
 
@@ -551,8 +579,8 @@ class DecodeCache:
         self.pending = None  # the new rows' tokens and, for cells, table keys
 
     def _claim(self, owner, n_blocks: int, cond=None) -> None:
-        if self.held and ad.grad_enabled():
-            raise ValueError("cached rows carry no gradient; decode under no_grad")
+        if ad.grad_enabled():
+            raise ValueError("cached keys and rows carry no gradient; decode under no_grad")
         if self.owner is None:
             self.owner = owner
             self.cond = None if cond is None else np.array(cond)

@@ -244,6 +244,85 @@ class TestFusedLayerOps:
         assert out.min() == 0.0 and np.any(out > 0.0)
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float64 array: equal bits mean equal values and signs,
+    NaN included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def special_values(rng, shape) -> np.ndarray:
+    """Normal values with NaN, +-inf, -0.0 and 0.0 scattered through them."""
+    a = rng.normal(size=shape)
+    flat = a.reshape(-1)
+    at = rng.permutation(flat.size)[: max(5, flat.size // 4)]
+    flat[at] = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0], at.size)
+    return a
+
+
+class TestFastPaths:
+    """The fast forms of the fused ops against their references, bit for bit:
+    the in-place fmax ReLU, the one-row layer_norm and the strided conv2d."""
+
+    def test_relu_keeps_the_bits_of_np_where(self):
+        # every size to 70 puts a special value in each SIMD lane and in the
+        # scalar tail, where fmax alone can keep -0.0
+        rng = np.random.default_rng(30)
+        for size in range(1, 71):
+            for x in (special_values(rng, size), np.full(size, -0.0)):
+                want = ad.relu(ad.Tensor(x)).data
+                assert np.array_equal(bits(ad._relu_(x.copy())), bits(want)), size
+
+    @pytest.mark.parametrize("name", ["feed_forward", "conv2d"])
+    def test_special_values_equal_composed_reference(self, name, composed_ops):
+        shapes, extra, _ = TestFusedLayerOps.CASES[name]
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            arrays = [special_values(rng, s) for s in shapes[:1]]
+            arrays += [rng.normal(size=s) for s in shapes[1:]]
+            for a in arrays[1:]:
+                a.reshape(-1)[:2] = -0.0  # -0.0 weights and biases
+            with np.errstate(invalid="ignore"):
+                want = composed_ops[name](*arrays, *extra).data
+                got = getattr(ad, name)(*arrays, *extra).data
+            assert np.array_equal(bits(got), bits(want)), trial
+
+    @pytest.mark.parametrize("shape", [(5, 5, 1), (7, 9, 3), (8, 6, 2), (1, 1, 2), (11, 4, 1)])
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+    def test_conv2d_sizes_strides_and_pads(self, shape, stride, pad, composed_ops):
+        rng = np.random.default_rng(32)
+        k = 3 if min(shape[:2]) + 2 * pad >= 3 else 1
+        arrays = [rng.normal(size=shape), rng.normal(size=(k, k, shape[2], 4)), rng.normal(size=4)]
+        runs = []
+        for fn in (composed_ops["conv2d"], ad.conv2d):
+            ins = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*ins, stride=stride, pad=pad)
+            coef = np.random.default_rng(33).normal(size=out.shape)
+            ad.mean(ad.mul(out, coef)).backward()
+            runs.append((out.data, [t.grad for t in ins]))
+        (ref_out, ref_grads), (out, grads) = runs
+        assert out.shape == ref_out.shape and np.array_equal(bits(out), bits(ref_out))
+        for ref, got in zip(ref_grads, grads):
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+    def test_one_row_layer_norm_equals_its_row_of_the_batch(self):
+        rng = np.random.default_rng(34)
+        d = 64
+        gamma, beta = rng.normal(size=d), rng.normal(size=d)
+        x = rng.normal(size=(2000, d)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
+        x += rng.normal(size=(2000, 1)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
+        g = rng.normal(size=(2000, d))
+        xs = ad.Tensor(x, requires_grad=True)
+        batch = ad.layer_norm(xs, gamma, beta)
+        (batch * g).backward()
+        for i in range(x.shape[0]):
+            row = ad.Tensor(x[i : i + 1], requires_grad=True)
+            out = ad.layer_norm(row, gamma, beta)
+            assert np.array_equal(bits(out.data[0]), bits(batch.data[i])), i
+            if i % 50 == 0:
+                (out * g[i : i + 1]).backward()
+                assert np.array_equal(bits(row.grad[0]), bits(xs.grad[i])), i
+
+
 def split_heads(t: ad.Tensor, heads: int) -> ad.Tensor:
     n, d = t.shape
     return ad.swapaxes(ad.reshape(t, (n, heads, d // heads)), 0, 1)

@@ -96,6 +96,17 @@ class TestScriptedStep:
             assert passes == out.passes > 0
 
 
+    def test_fewer_scripts_than_cells_names_both_counts(self):
+        model = TableModel(tiny_cfg())
+        record = synth.generate(synth.PRESETS["dense"], seed=0)
+        scripts = [content_ids(text) for text in record.cells]
+        step = make_scripted_step(None, scripts[:-2])
+        cond = np.zeros((len(scripts), model.cfg.d))
+        want = f"the structure has {len(scripts)} cells but there are {len(scripts) - 2} scripts"
+        with pytest.raises(ValueError, match=want):
+            decode_cells_parallel(model, cond, None, step_fn=step)
+
+
 class TestVerifySample:
     def test_accepts_matching_results(self):
         cells = [content_ids("ab"), content_ids("xyz")]

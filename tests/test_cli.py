@@ -228,6 +228,15 @@ class TestGen:
         assert (out / "annotations.jsonl").read_text() == ""
         assert not list(out.glob("*.pgm"))
 
+    @pytest.mark.parametrize("count", [-1, True, 2.7, "abc", "3", None])
+    def test_bad_count_is_named(self, tmp_path, work, capsys, count):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_text(json.dumps({"gen": TINY_CONFIG["gen"] | {"count": count}}))
+        out = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"gen.count must be an integer >= 0, got {count!r}" in capsys.readouterr().err
+        assert not (out / "annotations.jsonl").exists()
+
     def test_same_seed_same_bytes(self, tmp_path, work):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -476,6 +485,15 @@ class TestBench:
 
 
 class TestAblate:
+    @pytest.mark.parametrize("count", [0, True, 2.7, "abc"])
+    def test_bad_count_is_named(self, tmp_path, work, capsys, count):
+        cfgfile = tmp_path / "ablate.json"
+        cfgfile.write_text(json.dumps({"model": TINY_CONFIG["model"], "gen": {"count": count}}))
+        out = tmp_path / "grid"
+        assert cli.main(["ablate", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"gen.count must be an integer >= 1, got {count!r}" in capsys.readouterr().err
+        assert not (out / "ablation.json").exists()
+
     def test_grid_shape_and_determinism(self, tmp_path, work):
         blobs = []
         for name in ("a1", "a2"):

@@ -732,6 +732,24 @@ class TestDecodeCache:
         assert np.abs(logits.data - want_logits.data).max() <= 1e-12
         assert np.abs(hidden.data - want_hidden.data).max() <= 1e-12
 
+    def test_memory_keys_held_as_contiguous_transposed_keys(self):
+        m = TableModel(tiny_cfg(html_blocks=2))
+        with ad.no_grad():
+            feats = m.encode_image(np.zeros((32, 32)))
+            cache = DecodeCache(feats)
+            m.html_step([V.STRUCTURE.sos], "ltor", cache)
+            for blk, held in zip(m.html_blocks, cache.memory_keys):
+                (k, v), (want_k, want_v) = held.kv, blk.cross_attn._project(feats)
+                assert np.swapaxes(k.data, 1, 2).flags.c_contiguous and v.data.flags.c_contiguous
+                assert np.array_equal(k.data, want_k.data) and np.array_equal(v.data, want_v.data)
+
+    def test_first_cached_pass_refuses_gradients(self):
+        # the held memory keys carry no gradient, so not even a first pass may tape
+        m = TableModel(tiny_cfg())
+        cache = DecodeCache(m.encode_image(np.zeros((32, 32))))
+        with pytest.raises(ValueError, match="no_grad"):
+            m.html_step([V.STRUCTURE.sos], "ltor", cache)
+
     def test_cached_rows_refuse_gradients(self):
         m = TableModel(tiny_cfg())
         feats = m.encode_image(np.zeros((32, 32)))

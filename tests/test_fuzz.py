@@ -1,6 +1,8 @@
 """Seeded fuzz tests over untrusted inputs: damaged checkpoints, random JSON
 configs and random corpus annotations.  Each input must load or raise a
-ValueError, never another error, so the CLI exits 2 with a located message."""
+ValueError, never another error, so the CLI exits 2 with a located message.
+Last, a fuzz over random small model configs holds the decode cache to the
+uncached reference."""
 
 import json
 import math
@@ -14,6 +16,7 @@ from tabmark import checkpoint, cli, synth
 from tabmark import vocab as V
 from tabmark.model import ModelConfig, TableModel
 from tabmark.training import LossWeights, TrainConfig
+from test_decoding import assert_cache_exact, content_ids, steer_to
 
 TINY = ModelConfig(
     image_side=32, d=16, heads=2, html_blocks=1, cell_blocks=1, refiner_blocks=1,
@@ -101,7 +104,7 @@ def random_json(rng, depth=0):
     if kind == 1:
         return bool(rng.integers(0, 2))
     if kind == 2:
-        return int(rng.choice([-1, 0, 1, 2, 3, 4, 8, 16, 300, 10**20]))
+        return int(rng.choice([-1, 0, 1, 2, 3, 4, 8, 16, 300, 10**12, 10**20]))
     if kind == 3:
         return float(rng.choice([0.0, 0.5, 1e-3, -1.0, 3.0, np.nan, np.inf, -np.inf, 1e308]))
     if kind == 4:
@@ -129,6 +132,13 @@ def test_random_json_configs_give_a_config_or_a_value_error():
             made[cls] += 1
     # the ones that parse are valid: they made it through validate()
     assert made[ModelConfig] > 0 and made[TrainConfig] > 0
+
+
+@pytest.mark.parametrize("section", [{"d": 10**20, "heads": 4}, {"struct_cap": 10**12}])
+def test_huge_json_sizes_are_named(section):
+    key = next(iter(section))
+    with pytest.raises(ValueError, match=f"^{key} must be at most [0-9]+, got {section[key]}$"):
+        cli.model_config({"seed": 0, "model": section})
 
 
 def test_random_annotations_load_valid_or_fail_located(tmp_path):
@@ -164,3 +174,34 @@ def test_random_annotations_load_valid_or_fail_located(tmp_path):
         assert rec.is_complex == (V.STRUCTURE[V.TD_OPEN] in rec.structure_ids)
         loaded += 1
     assert 20 < loaded < 180
+
+
+def random_small_config(rng) -> ModelConfig:
+    """A random small model: d 8-24, 1-8 heads, 1-3 blocks of each kind, a
+    window of 0-5 or 300, small caps and any variant."""
+    d = int(rng.choice([8, 12, 16, 20, 24]))
+    heads = int(rng.choice([h for h in range(1, 9) if d % h == 0]))
+    return ModelConfig(
+        image_side=32, d=d, heads=heads, enc_channels=(4, 8, 16),
+        html_blocks=int(rng.integers(1, 4)), cell_blocks=int(rng.integers(1, 4)),
+        refiner_blocks=int(rng.integers(1, 4)), ffn_mult=int(rng.integers(1, 3)),
+        window=int(rng.choice([0, 1, 2, 3, 4, 5, 300])), struct_cap=int(rng.integers(4, 25)),
+        content_cap=int(rng.integers(4, 41)), variant=str(rng.choice(["bbox", "through", "full"])),
+        seed=int(rng.integers(0, 1000)),
+    )
+
+
+def test_random_configs_decode_cached_as_uncached():
+    # assert_cache_exact runs both schedules, cached against the plain
+    # reference: same tokens, pass counts and truncation, logits within 1e-12.
+    # Half the decodes are steered to a wide table with its cells scripted,
+    # cut to 0-8 tokens; the rest are the untrained model's own greedy output.
+    rng = np.random.default_rng(11)
+    for i in range(32):
+        model = TableModel(random_small_config(rng))
+        rec = synth.generate(synth.PRESETS["wide"], seed=i)
+        if i % 2:
+            scripts = [content_ids(c)[: int(rng.integers(0, 9))] for c in rec.cells]
+            assert_cache_exact(model, rec.image, steer_to(list(rec.structure_ids)), scripts)
+        else:
+            assert_cache_exact(model, rec.image)

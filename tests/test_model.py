@@ -100,6 +100,13 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=match):
             M.ModelConfig.from_text(f"d=16\n{line}\n")
 
+    @pytest.mark.parametrize("key", list(M.ModelConfig.LIMITS))
+    def test_upper_bounds_name_the_key(self, key):
+        bound = M.ModelConfig.LIMITS[key]
+        value = (4, 8, bound + 1) if key == "enc_channels" else bound + 1
+        with pytest.raises(ValueError, match=rf"^{key} must be at most {bound}, got "):
+            tiny_cfg(**{key: value}).validate()
+
     def test_with_variant(self):
         cfg = tiny_cfg()
         assert cfg.with_variant("through").variant == "through"
@@ -296,6 +303,29 @@ class TestEncodeImage:
         want = model.enc_norm(ad.add(x, L.pos_grid_2d(4, 4, 16))).data
         monkeypatch.setattr(L, "pos_grid_2d", None)
         np.testing.assert_array_equal(model.encode_image(img).data, want)
+
+
+class TestPositionCodes:
+    """TableModel.pos_codes against layers.pos_encode_1d, bit for bit."""
+
+    def test_table_rows_equal_pos_encode_1d_up_to_both_default_caps(self):
+        cfg = M.ModelConfig()
+        model = M.TableModel(cfg)
+        assert "pos_table" not in " ".join(model.params.names())  # not a parameter
+        want = np.stack([L.pos_encode_1d(p, cfg.d) for p in range(cfg.content_cap)])
+        want_bits = want.view(np.uint64)
+        sizes = []
+        for top in (1, 2, 3, 45, 44, cfg.struct_cap, 301, 1000, cfg.content_cap):
+            got = model.pos_codes(np.arange(top))
+            assert np.array_equal(got.view(np.uint64), want_bits[:top]), top
+            size = model.pos_table.shape[0]
+            assert np.array_equal(model.pos_table.view(np.uint64), want_bits[:size]), top
+            sizes.append(size)
+        assert sizes == sorted(sizes) and len(set(sizes)) > 4  # grown several times
+        assert sizes[-1] == cfg.content_cap  # never past the longer cap
+        order = np.random.default_rng(0).permutation(cfg.content_cap)
+        assert np.array_equal(model.pos_codes(order).view(np.uint64), want_bits[order])
+        assert model.pos_codes(np.zeros(0, dtype=np.int64)).shape == (0, cfg.d)
 
 
 class TestHtmlStep:
