@@ -66,9 +66,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
     # -- graph -------------------------------------------------------------
 
     def backward(self, seed: np.ndarray | None = None) -> None:
@@ -107,30 +104,6 @@ class Tensor:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -189,25 +162,11 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        if b.data.ndim == 1:  # (..., n) @ (n,) -> (...)
-            ga = np.expand_dims(g, -1) * b.data
-            gb = _unbroadcast(np.expand_dims(g, -1) * a.data, b.shape)
-            return _unbroadcast(ga, a.shape), gb
-        if a.data.ndim == 1:  # (n,) @ (n, m) -> (m,)
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.outer(a.data, g), b.shape)
-            return ga, gb
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _node(out, (a, b), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    keep = x.data > 0
-    return _node(np.where(keep, x.data, 0.0), (x,), lambda g: (g * keep,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -235,11 +194,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     old = x.data.shape
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    x = as_tensor(x)
-    return _node(np.swapaxes(x.data, a, b), (x,), lambda g: (np.swapaxes(g, a, b),))
 
 
 def take_rows(x: Tensor, indices) -> Tensor:

@@ -22,7 +22,7 @@ from .bench import BenchMismatch, run_bench
 from .decoding import recognize
 from .evaluate import evaluate_pairs, pair_records, read_records, summarize, summary_table
 from .model import VARIANTS, ModelConfig, TableModel
-from .training import TrainConfig, TrainingDiverged, train
+from .training import TrainConfig, TrainingDiverged, read_fields, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,6 +68,8 @@ def resolve(ns: argparse.Namespace) -> dict:
     cfg = default_config()
     if getattr(ns, "config", None):
         deep_update(cfg, load_config_file(ns.config))
+    for name in ("model", "train", "gen", "bench"):  # before the flags write into them
+        _section(cfg, name)
     if getattr(ns, "seed", None) is not None:
         cfg["seed"] = ns.seed
         cfg["model"].pop("seed", None)  # the flag beats per-section file seeds
@@ -82,6 +84,9 @@ def resolve(ns: argparse.Namespace) -> dict:
         cfg["gen"]["count"] = ns.count
     if getattr(ns, "epochs", None) is not None:
         cfg["train"]["epochs"] = ns.epochs
+    cfg["seed"] = config_int(cfg["seed"], "seed", 0)
+    if not isinstance(cfg["parallel"], bool):
+        raise ValueError(f"parallel must be true or false, got {cfg['parallel']!r}")
     return cfg
 
 
@@ -112,16 +117,12 @@ def _section(cfg: dict, name: str) -> dict:
 
 def gen_spec(cfg: dict) -> synth.GenSpec:
     preset = cfg["gen"]["preset"]
-    if preset not in synth.PRESETS:
+    if preset not in PRESET_NAMES:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESET_NAMES}")
-    over = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in dict(cfg["gen"].get("spec", {})).items()
-    }
-    try:
-        return dataclasses.replace(synth.PRESETS[preset], **over)
-    except TypeError as e:
-        raise ValueError(f"bad gen spec override: {e}") from e
+    over = read_fields(synth.GenSpec, cfg["gen"]["spec"], "gen.spec")
+    spec = dataclasses.replace(synth.PRESETS[preset], **over)
+    spec.validate()
+    return spec
 
 
 def dump_config(out_dir: str, resolved: dict) -> None:

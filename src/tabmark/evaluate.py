@@ -47,7 +47,13 @@ def _score_one(item):
 
 
 def worker_count(explicit=None) -> int:
-    n = explicit if explicit is not None else int(os.environ.get(WORKERS_ENV, "1"))
+    n = explicit
+    if n is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"worker count must be positive, got {n}")
     return n
@@ -113,6 +119,8 @@ def read_records(path) -> dict[str, str]:
                 sample_id, html = str(rec["id"]), rec["html"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ValueError(f"{path}:{lineno}: bad record ({e})") from e
+            if not isinstance(html, str):
+                raise ValueError(f"{path}:{lineno}: html must be a string, got {html!r}")
             if sample_id in out:
                 raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}")
             out[sample_id] = html

@@ -86,10 +86,6 @@ def build_cellwise_mask(layout, w: int) -> np.ndarray:
     return np.where(visible, 0.0, NEG_INF)
 
 
-def zero_mask(n: int, m: int) -> np.ndarray:
-    return np.zeros((n, m))
-
-
 class ParamSet:
     """Ordered name -> Tensor registry; the single source of model weights."""
 
@@ -125,15 +121,9 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 class Linear:

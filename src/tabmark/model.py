@@ -180,15 +180,6 @@ class CellBox:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"box component {v} outside [0,1]")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h])
-
-
-def boxes_to_array(boxes: list[CellBox]) -> np.ndarray:
-    if not boxes:
-        return np.zeros((0, 4))
-    return np.stack([b.as_array() for b in boxes])
-
 
 def array_to_boxes(arr: np.ndarray) -> list[CellBox]:
     return [CellBox(*np.clip(row, 0.0, 1.0)) for row in np.asarray(arr).reshape(-1, 4)]

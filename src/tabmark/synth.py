@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vocab as V
+from .model import ModelConfig
 
 INK = 0  # glyph pixel value (uint8)
 BORDER = 120
@@ -91,12 +92,33 @@ class GenSpec:
     space_prob: float = 0.12
 
     def validate(self) -> None:
-        if self.rows[0] < 1 or self.cols[0] < 1:
-            raise ValueError("need at least one row and one column")
-        if self.content_len[0] < 0:
-            raise ValueError("content length must be nonnegative")
-        if not 2 <= self.max_span <= V.MAX_SPAN:
-            raise ValueError(f"max_span must lie in 2..{V.MAX_SPAN}")
+        """Raise ValueError, naming the key and its value, for a spec no table
+        can be drawn from.  generate calls this for every record, so the checks
+        stay plain comparisons."""
+        for key, low in (("rows", 1), ("cols", 1), ("content_len", 0)):
+            pair = getattr(self, key)
+            if not (len(pair) == 2 and low <= pair[0] <= pair[1]):
+                raise ValueError(f"gen.spec key {key} needs a pair {low} <= lo <= hi, got {pair!r}")
+        most = ModelConfig.LIMITS["image_side"]
+        checks = (
+            ("merge_prob", 0.0 <= self.merge_prob <= 1.0, "a probability in [0, 1]"),
+            ("border_prob", 0.0 <= self.border_prob <= 1.0, "a probability in [0, 1]"),
+            ("space_prob", 0.0 <= self.space_prob <= 1.0, "a probability in [0, 1]"),
+            ("max_span", 2 <= self.max_span <= V.MAX_SPAN, f"an integer in 2..{V.MAX_SPAN}"),
+            ("max_merges", self.max_merges >= 0, "an integer >= 0"),
+            ("glyph_scale", self.glyph_scale >= 1, "an integer >= 1"),
+            ("margin", self.margin >= 0, "an integer >= 0"),
+            ("image_side", self.image_side <= most, f"an integer <= {most}"),
+        )
+        for key, ok, need in checks:
+            if not ok:
+                raise ValueError(f"gen.spec key {key} needs {need}, got {getattr(self, key)!r}")
+        inner = max(self.rows[1], self.cols[1])
+        if self.image_side - 2 * self.margin < inner:  # a pixel per row and column
+            raise ValueError(
+                f"gen.spec keys image_side and margin need image_side - 2 * margin >= {inner}, "
+                f"got {self.image_side} and {self.margin}"
+            )
 
 
 PRESETS = {

@@ -90,54 +90,6 @@ class LossReport:
         return asdict(self)
 
 
-@dataclass
-class DistributionSeq:
-    """Per-position predicted probabilities paired with ground-truth ids."""
-
-    probs: np.ndarray  # (L, V), rows sum to 1
-    targets: np.ndarray  # (L,) ints
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.int64)
-        if self.probs.ndim != 2 or self.targets.shape != (self.probs.shape[0],):
-            raise ValueError("need (L, V) probabilities and L targets")
-        if not np.allclose(self.probs.sum(axis=-1), 1.0, atol=1e-6):
-            raise ValueError("probability rows must sum to 1")
-        if np.any((self.targets < 0) | (self.targets >= self.probs.shape[1])):
-            raise ValueError("target id outside the vocabulary")
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-
-def _kl_rows(ref: np.ndarray, q: np.ndarray) -> float:
-    """Mean over positions of KL(ref || q); 0 * log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(ref > 0.0, ref * (np.log(ref) - np.log(q)), 0.0)
-    return float(terms.sum(axis=-1).mean())
-
-
-def mutual_loss(
-    q_ltor: DistributionSeq, q_rtol: DistributionSeq, weights: LossWeights | None = None
-) -> LossReport:
-    """Probability-space reference for the bidirectional structure loss.
-
-    The fused training path works from logits for numerical stability; this
-    form exists to pin its semantics and for direct evaluation in tests.
-    """
-    w = weights or LossWeights()
-    if len(q_ltor) != len(q_rtol):
-        raise ValueError("the two students must decode the same sample")
-    n = np.arange(len(q_ltor))
-    ce_lt = float(-np.log(q_ltor.probs[n, q_ltor.targets]).mean())
-    ce_rt = float(-np.log(q_rtol.probs[n, q_rtol.targets]).mean())
-    kl_lt = _kl_rows(realign(q_rtol.probs), q_ltor.probs)
-    kl_rt = _kl_rows(realign(q_ltor.probs), q_rtol.probs)
-    total = w.struct_ce * (ce_lt + ce_rt) + w.kl * (kl_lt + kl_rt)
-    return LossReport(ce_lt, ce_rt, kl_lt, kl_rt, 0.0, 0.0, total)
-
-
 def structure_mutual_loss(model: TableModel, body_ids, img_feats, kl_refs=None):
     """Teacher-forced bidirectional structure loss, differentiable.
 
@@ -185,12 +137,6 @@ def content_loss(logits: Tensor, targets) -> Tensor:
 
 def bbox_loss(pred, truth) -> Tensor:
     """Mean absolute error over all 4n box components; 0 for empty tables."""
-    from .model import boxes_to_array
-
-    if isinstance(pred, list):
-        pred = Tensor(boxes_to_array(pred))
-    if isinstance(truth, list):
-        truth = boxes_to_array(truth)
     truth = np.asarray(truth, dtype=np.float64).reshape(-1, 4)
     if tuple(pred.shape) != truth.shape:
         raise ValueError(f"box shape mismatch: {pred.shape} vs {truth.shape}")
@@ -323,16 +269,16 @@ class TrainConfig:
         """A validated config from JSON values.  As in ModelConfig.from_fields,
         every number is read through its text by its field's type and a bad
         value is named with its key; weights is an object of loss weights."""
-        kwargs = _read_fields(cls, raw, "train config")
+        kwargs = read_fields(cls, raw, "train config")
         if "weights" in kwargs:
-            kwargs["weights"] = LossWeights(**_read_fields(LossWeights, raw["weights"],
-                                                           "train config weights"))
+            kwargs["weights"] = LossWeights(**read_fields(LossWeights, raw["weights"],
+                                                          "train config weights"))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
 
-def _read_fields(cls, raw, where: str) -> dict:
+def read_fields(cls, raw, where: str) -> dict:
     """The field values of cls in a JSON object, each number read through its
     text by the type of the field's default; `where` names the object."""
     if not isinstance(raw, dict):

@@ -70,20 +70,6 @@ class Vocab:
     def eos(self) -> int:
         return self._index()[EOS]
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                if "\n" in tok:
-                    raise ValueError(f"token contains newline: {tok!r}")
-                fh.write(tok + "\n")
-
-    @classmethod
-    def from_file(cls, path: str, kind: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = tuple(line[:-1] if line.endswith("\n") else line for line in fh)
-        tokens = tuple(t for t in tokens if t != "")
-        return cls(kind=kind, tokens=tokens)
-
 
 def _structure_tokens() -> tuple[str, ...]:
     spans = [f' colspan="{k}"' for k in range(2, MAX_SPAN + 1)]
@@ -106,17 +92,14 @@ UNK_ID = CONTENT[UNK]
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """A token id sequence tagged with its vocabulary and reading direction."""
+    """A token id sequence tagged with its vocabulary."""
 
     kind: str  # "structure" | "content"
     ids: tuple[int, ...]
-    direction: str = "ltor"  # "ltor" | "rtol"
 
     def __post_init__(self) -> None:
         if self.kind not in ("structure", "content"):
             raise ValueError(f"unknown vocabulary kind: {self.kind!r}")
-        if self.direction not in ("ltor", "rtol"):
-            raise ValueError(f"unknown direction: {self.direction!r}")
         vocab = STRUCTURE if self.kind == "structure" else CONTENT
         n = len(vocab)
         for i in self.ids:
@@ -125,22 +108,6 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def reversed(self) -> "TokenSeq":
-        other = "rtol" if self.direction == "ltor" else "ltor"
-        return TokenSeq(self.kind, tuple(reversed(self.ids)), other)
-
-    def validate(self) -> None:
-        """At most one EOS; nothing but PAD may follow it."""
-        vocab = STRUCTURE if self.kind == "structure" else CONTENT
-        seen_eos = False
-        for i in self.ids:
-            if seen_eos and i != vocab.pad:
-                raise ValueError("token after EOS that is not PAD")
-            if i == vocab.eos:
-                if seen_eos:
-                    raise ValueError("multiple EOS tokens")
-                seen_eos = True
 
 
 def cell_tokens(colspan: int, rowspan: int) -> list[int]:
@@ -186,13 +153,6 @@ def iter_cells(ids) -> list[int]:
     """Positions of cell-final tokens (<td></td> or </td>), one per cell, in order."""
     merged, close = STRUCTURE[TD_MERGED], STRUCTURE[TD_CLOSE]
     return [i for i, t in enumerate(ids) if t in (merged, close)]
-
-
-def detokenize_structure(seq: TokenSeq | list[int] | tuple[int, ...]) -> str:
-    """Rebuild the HTML string; rejects sequences no parse could produce."""
-    ids = seq.ids if isinstance(seq, TokenSeq) else tuple(seq)
-    _validate_structure(ids)
-    return render_html(ids, [])
 
 
 def _validate_structure(ids) -> None:
@@ -274,16 +234,3 @@ def concat_cells(cells: list[TokenSeq]) -> TokenSeq:
         ids.append(SEP_ID)
     return TokenSeq("content", tuple(ids))
 
-
-def split_cells(seq: TokenSeq | tuple[int, ...] | list[int]) -> list[list[int]]:
-    """Inverse of concat_cells: split at each <sep>; trailing partial is dropped."""
-    ids = seq.ids if isinstance(seq, TokenSeq) else tuple(seq)
-    cells: list[list[int]] = []
-    cur: list[int] = []
-    for i in ids:
-        if i == SEP_ID:
-            cells.append(cur)
-            cur = []
-        else:
-            cur.append(i)
-    return cells

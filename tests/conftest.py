@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from references import relu, swapaxes
 from tabmark import autodiff as ad
 from tabmark import synth
 from tabmark.model import ModelConfig, TableModel
@@ -54,12 +55,12 @@ def _linear(x, w, b):
 
 
 def _feed_forward(x, w1, b1, w2, b2):
-    return _linear(ad.relu(_linear(x, w1, b1)), w2, b2)
+    return _linear(relu(_linear(x, w1, b1)), w2, b2)
 
 
 def _project_heads(y, w, heads):
     m, d = y.shape[0], w.shape[1]
-    return ad.swapaxes(ad.reshape(ad.matmul(y, w), (m, heads, d // heads)), 0, 1)
+    return swapaxes(ad.reshape(ad.matmul(y, w), (m, heads, d // heads)), 0, 1)
 
 
 def _layer_norm(x, gamma, beta, eps=1e-6):
@@ -114,7 +115,7 @@ def _conv2d(x, w, b, stride=2, pad=1):
         h, wdt = x.data.shape[:2]
         return gxp[pad : pad + h, pad : pad + wdt, :], (cols2.T @ g2).reshape(w.shape), g2.sum(0)
 
-    return ad.relu(ad._node(out, (x, w, b), backward))
+    return relu(ad._node(out, (x, w, b), backward))
 
 
 COMPOSED_OPS = {

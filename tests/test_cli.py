@@ -100,6 +100,38 @@ class TestExitCodes:
         cfgfile.write_text(json.dumps({"gen": {"preset": "sideways"}}))
         assert cli.main(["gen", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"seed": True}, "seed must be an integer >= 0, got True"),
+            ({"seed": "x"}, "seed must be an integer >= 0, got 'x'"),
+            ({"gen": []}, "config section gen needs a JSON object, got []"),
+            ({"gen": {"spec": []}}, "gen.spec needs a JSON object, got []"),
+            ({"bench": []}, "config section bench needs a JSON object, got []"),
+            (
+                {"gen": {"preset": ["wide"]}},
+                "unknown preset ['wide'], expected one of ('wide', 'dense')",
+            ),
+        ],
+    )
+    def test_bad_run_setting_is_named(self, tmp_path, capsys, config, message):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "annotations.jsonl").exists()
+
+    def test_parallel_must_be_a_json_bool(self, tmp_path, work, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"parallel": "no"}))
+        out = tmp_path / "pred"
+        argv = ["infer", "--config", str(cfgfile), "--corpus", work["corpus"], "--model",
+                work["ckpt"], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "parallel must be true or false, got 'no'" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
+
     def test_invariant_violations_exit_three(self, tmp_path, work, monkeypatch):
         def boom(*a, **k):
             raise BenchMismatch("decoders disagree")
@@ -236,6 +268,43 @@ class TestGen:
         assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
         assert f"gen.count must be an integer >= 0, got {count!r}" in capsys.readouterr().err
         assert not (out / "annotations.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"rows": [2]}, "gen.spec key rows needs a pair 1 <= lo <= hi, got (2,)"),
+            (
+                {"image_side": 4},
+                "gen.spec keys image_side and margin need image_side - 2 * margin >= 3, "
+                "got 4 and 4",
+            ),
+            ({"glyph_scale": 0}, "gen.spec key glyph_scale needs an integer >= 1, got 0"),
+            ({"merge_prob": "abc"}, "gen.spec key merge_prob needs a number, got 'abc'"),
+            (
+                {"margin": 100},
+                "gen.spec keys image_side and margin need image_side - 2 * margin >= 3, "
+                "got 128 and 100",
+            ),
+        ],
+    )
+    def test_bad_spec_value_is_named(self, tmp_path, capsys, spec, message):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_text(json.dumps({"gen": {"count": 1, "spec": spec}}))
+        out = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "annotations.jsonl").exists()
+
+    def test_spec_numbers_are_read_by_type(self, tmp_path):
+        for name, prob in (("text", "0.5"), ("number", 0.5)):
+            cfgfile = tmp_path / f"{name}.json"
+            cfgfile.write_text(json.dumps({"gen": {"count": 2, "spec": {"merge_prob": prob}}}))
+            assert cli.main(["gen", "--config", str(cfgfile), "--out", str(tmp_path / name)]) == 0
+        resolved = json.loads((tmp_path / "text" / "config.json").read_text())
+        assert resolved["gen"]["spec"]["merge_prob"] == 0.5
+        text, number = tmp_path / "text", tmp_path / "number"
+        for name in ("annotations.jsonl", "config.json", "table_00001.pgm"):
+            assert (text / name).read_bytes() == (number / name).read_bytes()
 
     def test_same_seed_same_bytes(self, tmp_path, work):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -419,6 +488,22 @@ class TestEval:
             )
             blobs[workers] = (out / "scores.jsonl").read_bytes()
         assert blobs["1"] == blobs["3"]
+
+    def test_bad_worker_variable_is_named(self, tmp_path, work, capsys, monkeypatch):
+        monkeypatch.setenv("TABMARK_WORKERS", "abc")
+        argv = ["eval", "--truth", work["truth"], "--pred", work["truth"], "--out",
+                str(tmp_path / "ev")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "TABMARK_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_non_string_html_is_located(self, tmp_path, work, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "s", "html": SIMPLE}) + "\n"
+                        + json.dumps({"id": "c", "html": 5}) + "\n")
+        argv = ["eval", "--truth", work["truth"], "--pred", str(pred), "--out",
+                str(tmp_path / "ev")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"{pred}:2: html must be a string, got 5" in capsys.readouterr().err
 
 
 class TestBench:

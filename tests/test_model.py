@@ -121,13 +121,11 @@ class TestCellBox:
             M.CellBox(-0.1, 0.5, 0.5, 0.1)
 
     def test_array_roundtrip(self):
-        boxes = [M.CellBox(0.2, 0.3, 0.2, 0.2), M.CellBox(0.0, 1.0, 0.5, 0.25)]
-        arr = M.boxes_to_array(boxes)
-        assert arr.shape == (2, 4)
-        assert M.array_to_boxes(arr) == boxes
+        arr = np.array([[0.2, 0.3, 0.2, 0.2], [0.0, 1.0, 0.5, 0.25]])
+        assert M.array_to_boxes(arr) == [M.CellBox(*row) for row in arr]
 
     def test_empty_list(self):
-        assert M.boxes_to_array([]).shape == (0, 4)
+        assert M.array_to_boxes(np.zeros((0, 4))) == []
 
     def test_clipping_out_of_range_predictions(self):
         out = M.array_to_boxes(np.array([[1.2, -0.1, 0.5, 0.5]]))
@@ -311,7 +309,7 @@ class TestPositionCodes:
     def test_table_rows_equal_pos_encode_1d_up_to_both_default_caps(self):
         cfg = M.ModelConfig()
         model = M.TableModel(cfg)
-        assert not any("pos" in name for name in model.params.names())  # not a parameter
+        assert not any("pos" in name for name, _ in model.params.items())  # not a parameter
         want = np.stack([L.pos_encode_1d(p, cfg.d) for p in range(cfg.content_cap)])
         want_bits = want.view(np.uint64)
         sizes = []
@@ -510,7 +508,7 @@ class TestVariantSurgery:
 
 class TestWeightSharing:
     def test_single_registry_no_direction_copies(self, model):
-        names = model.params.names()
+        names = [name for name, _ in model.params.items()]
         assert len(names) == len(set(names))
         assert not any("rtol" in n or "ltor" in n for n in names)
         assert model.params["html.dir"] is model.dir_emb
