@@ -12,7 +12,8 @@ Every run is kept.  The summary gives, per workload and end-to-end metric,
 each side's median and quartiles, the ratio of the medians (change over
 parent) and the number of pairs the change won.  A claimed metric is met when
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range.
+more than the parent's interquartile range.  Every metric also gets the
+no-regression verdict under its BENCHMARK.json bound (see `verdict`).
 """
 
 from __future__ import annotations
@@ -46,11 +47,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """"worse" when the change median is worse than the parent median by more
+    than bound (relative to the parent median); otherwise "unresolved" when
+    the parent's interquartile range exceeds bound relative to its median and
+    not every change run beats every parent run; otherwise "ok"."""
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = quartiles(change)[1]
+    worse_by = cmed - pmed if better == "lower" else pmed - cmed
+    if worse_by > bound * abs(pmed):
+        return "worse"
+    beats_all = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    if pq3 - pq1 > bound * abs(pmed) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric (name -> its BENCHMARK.json entry): both sides'
+    quartiles, the median ratio, the change's wins, the claim rule and the
+    no-regression verdict."""
     pairs = sorted({r["seed"] for r in runs})
     side = {s: {r["seed"]: r for r in runs if r["side"] == s} for s in ("parent", "change")}
     out: dict = {"pairs": len(pairs)}
-    for name, direction in better.items():
+    for name, m in metrics.items():
+        direction = m["better"]
         p = [side["parent"][s]["metrics"][name] for s in pairs]
         c = [side["change"][s]["metrics"][name] for s in pairs]
         wins = sum((b < a) if direction == "lower" else (b > a) for a, b in zip(p, c))
@@ -61,6 +82,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
             "ratio": cmed / pmed, "change_wins": wins,
             "claim_rule_met": wins >= 0.9 * len(pairs) and abs(cmed - pmed) > pq3 - pq1,
+            "no_regression": verdict(p, c, direction, m["bound"]),
         }
     out["failed"] = {s: sum(side[s][k]["failed"] for k in pairs) for s in side}
     return out
@@ -80,7 +102,7 @@ def main() -> None:
     ns = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     command = (
         f"python3 scripts/bench_pairs.py --parent <parent-dir> --change <change-dir> "
         f"--parent-commit {ns.parent_commit} --slug {ns.slug} --pairs {ns.pairs} "
@@ -114,7 +136,7 @@ def main() -> None:
                       "scripted structure and cell lengths",
             "run_seconds": spec["run_seconds"],
             "claimed": None if ns.claim is None else {"workload": ns.claim, "metric": "op_s.p50"},
-            "summary": {k: summarize(v, better) for k, v in done.items()},
+            "summary": {k: summarize(v, metrics) for k, v in done.items()},
             "runs": done,
         }
         with open(path, "w", encoding="utf-8") as fh:  # rewritten after each workload

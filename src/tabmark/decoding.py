@@ -27,7 +27,7 @@ from .model import (
     StructFeatures,
     TableModel,
     array_to_boxes,
-    cell_buffer_layout,
+    content_buffer,
 )
 
 
@@ -35,8 +35,9 @@ from .model import (
 class DecodeState:
     """Each cell's decoded tokens and whether it is frozen.
 
-    The content buffer is built from them: SOS + (cell_0 + SEP) + ... +
-    (cell_n-1 + SEP), so it holds that pattern by construction.
+    The content buffer is built from them (model.content_buffer): SOS +
+    (cell_0 + SEP) + ... + (cell_n-1 + SEP), so it holds that pattern by
+    construction.
     """
 
     cells: list[list[int]]
@@ -47,14 +48,6 @@ class DecodeState:
         if n_cells < 0:
             raise ValueError("cell count must be nonnegative")
         return cls(cells=[[] for _ in range(n_cells)], frozen=[False] * n_cells)
-
-    @property
-    def buffer(self) -> list[int]:
-        buf = [V.CONTENT.sos]
-        for tokens in self.cells:
-            buf += tokens
-            buf.append(V.SEP_ID)
-        return buf
 
     def unfrozen(self) -> list[int]:
         return [k for k, f in enumerate(self.frozen) if not f]
@@ -70,13 +63,11 @@ class DecodeState:
     def freeze(self, cell: int) -> None:
         self.frozen[cell] = True
 
-    def read_position(self, cells):
-        """The position whose logits predict a cell's next token: the last
-        token of the cell's segment, or the boundary before it when empty.
-        cells is one cell index or a sequence of them."""
+    def read_position(self, cells) -> list[int]:
+        """The positions whose logits predict the given cells' next tokens:
+        the last token of each cell's segment, or the boundary before it
+        when empty."""
         seps = list(accumulate(len(tokens) + 1 for tokens in self.cells))  # each cell's SEP
-        if isinstance(cells, (int, np.integer)):
-            return seps[cells] - 1
         return [seps[k] - 1 for k in cells]
 
 
@@ -132,12 +123,6 @@ class CellDecode:
 _CELL_STOP = frozenset({V.CONTENT.pad, V.CONTENT.sos, V.CONTENT.eos, V.SEP_ID})
 
 
-def _logits_of(step_out) -> np.ndarray:
-    # plain ndarrays also have a .data attribute (a memoryview), so the
-    # Tensor unwrap must be an isinstance check
-    return step_out.data if isinstance(step_out, ad.Tensor) else np.asarray(step_out)
-
-
 def decode_cells_parallel(model: TableModel, cond, img_feats, step_fn=None) -> CellDecode:
     """Advance every open cell by one token per model pass."""
     return _decode_cells(model, cond, img_feats, step_fn, parallel=True)
@@ -176,12 +161,11 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
             active = open_cells if parallel else open_cells[:1]
             if not active:
                 break
-            buffer = state.buffer
+            buffer, layout = content_buffer(state.cells)
             if len(buffer) + len(active) > cap:
                 truncated = True
                 break
-            layout = cell_buffer_layout(buffer, n)
-            logits = _logits_of(step(buffer, layout, cond, memory))
+            logits = ad.as_tensor(step(buffer, layout, cond, memory)).data
             passes += 1
             tokens = logits[state.read_position(active)].argmax(axis=1).tolist()
             for k, token in zip(active, tokens):

@@ -64,12 +64,13 @@ def evaluate_pairs(pairs, workers=None) -> list[dict]:
 
     Scoring is a pure function of each pair, so the result is identical for
     any worker count (set via the TABMARK_WORKERS variable or the argument).
+    At most one worker is started per pair.
     """
     items = list(pairs)
     n = worker_count(workers)
     if n == 1 or len(items) < 2:
         return [_score_one(it) for it in items]
-    with multiprocessing.Pool(n) as pool:
+    with multiprocessing.Pool(min(n, len(items))) as pool:
         return pool.map(_score_one, items)
 
 

@@ -3,7 +3,7 @@ cell-feature fetcher, refiner, bbox head, and the content (cell) decoder.
 
 Buffer conventions for the cell decoder (shared by training and inference,
 which is what makes greedy parallel decoding equal greedy sequential
-decoding):
+decoding; content_buffer is the one place that writes them):
 
 - A content buffer is [SOS] followed by cell segments, each ``tokens + SEP``.
 - Masking: a content token sees SOS plus earlier tokens of its own cell
@@ -214,35 +214,27 @@ class BufferLayout:
         return len(self.mask_cells)
 
 
-def cell_buffer_layout(ids, n_cells: int) -> BufferLayout:
-    """Annotate a content buffer ([SOS, ...]) with mask cells, features, rel positions.
+def content_buffer(cells) -> tuple[list[int], BufferLayout]:
+    """The content buffer of per-cell token lists, [SOS] + (cell + SEP) for
+    each cell, and its layout: the one place the conventions above are written.
 
-    Built with whole-buffer NumPy operations from the SEP positions: the k-th
-    SEP closes cell k, so a position's cell is the number of SEPs before it.
+    A cell's tokens must not hold SEP or SOS (DecodeState.insert refuses them).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or not ids.size or ids[0] != V.CONTENT.sos:
-        raise ValueError("content buffer must start with SOS")
-    n = ids.shape[0]
-    sep = ids == V.SEP_ID
-    sos = ids == V.CONTENT.sos
-    cell = np.cumsum(sep) - sep  # SEPs before each position
-    content = ~(sep | sos)
-    stray = np.flatnonzero(sos[1:]) + 1
-    unknown = np.flatnonzero(content & (cell >= n_cells))
-    if stray.size and (not unknown.size or stray[0] < unknown[0]):
-        raise ValueError(f"stray SOS at position {stray[0]}")
-    if unknown.size:
-        p = unknown[0]
-        raise ValueError(f"token at position {p} belongs to unknown cell {cell[p]}")
-    mask_cells = np.where(sep, n_cells + cell, cell)  # SEP islands: unique ids >= n_cells
-    mask_cells[0] = L.SOS_CELL
-    feat_index = cell + sep  # a SEP carries the cell after it
-    feat_index[feat_index >= n_cells] = ZERO_FEAT
-    pos = np.arange(n)
-    rel_pos = pos - np.maximum.accumulate(np.where(content, 0, pos)) - 1  # from last boundary
-    rel_pos[~content] = 0
-    return BufferLayout(mask_cells, feat_index, rel_pos)
+    n = len(cells)
+    ids, mask_cells, feat_index, rel_pos = [V.CONTENT.sos], [L.SOS_CELL], [0], [0]
+    for k, tokens in enumerate(cells):
+        m = len(tokens)
+        ids += tokens
+        ids.append(V.SEP_ID)
+        mask_cells += [k] * m
+        mask_cells.append(n + k)  # the k-th SEP: an island id of its own
+        feat_index += [k] * m
+        feat_index.append(k + 1)  # a SEP carries the cell after it
+        rel_pos += range(m)
+        rel_pos.append(0)
+    feat_index[-1] = ZERO_FEAT  # SOS of no cells, or the last SEP: past the last cell
+    arrays = (np.array(a, dtype=np.int64) for a in (mask_cells, feat_index, rel_pos))
+    return ids, BufferLayout(*arrays)
 
 
 class TableModel:

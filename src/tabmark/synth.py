@@ -374,7 +374,8 @@ def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
     """Raises ValueError naming the fault for a missing or mistyped field, an
     unknown structure token, a structure that does not spell a supported
     table, a cell count or ``complex`` flag that disagrees with the structure,
-    or a cell that is not a text with a box of 4 numbers."""
+    a cell that is not a text with a box of 4 numbers in [0, 1], or a
+    ``seed`` that is not a list of integers."""
     for key, kind in (("structure_tokens", list), ("cells", list), ("complex", bool)):
         if not isinstance(ann.get(key), kind):
             raise ValueError(f"field {key!r} missing or not a {kind.__name__}")
@@ -398,9 +399,12 @@ def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
         if not (
             isinstance(box, list)
             and len(box) == 4
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in box)
+            and all(_is_number(x) and 0.0 <= x <= 1.0 for x in box)  # NaN fails the range
         ):
-            raise ValueError(f"cell {k} box {box!r} is not 4 numbers")
+            raise ValueError(f"cell {k} box {box!r} is not 4 numbers in [0, 1]")
+    seed = ann.get("seed", [])
+    if not (isinstance(seed, list) and all(_is_number(x, int) for x in seed)):
+        raise ValueError(f"field 'seed' {seed!r} is not a list of integers")
     cells = tuple(c["text"] for c in ann["cells"])
     boxes = (
         np.array([c["box"] for c in ann["cells"]], dtype=np.float64)
@@ -413,8 +417,12 @@ def annotation_to_record(ann: dict, image: np.ndarray) -> TableRecord:
         cells=cells,
         boxes=boxes,
         is_complex=bool(ann["complex"]),
-        seed=tuple(ann.get("seed", ())),
+        seed=tuple(seed),
     )
+
+
+def _is_number(x, kinds=(int, float)) -> bool:
+    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def emit_corpus(n: int, spec: GenSpec, path: str, master_seed: int = 0) -> list[str]:

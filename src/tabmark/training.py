@@ -29,7 +29,7 @@ from . import checkpoint
 from . import synth
 from . import vocab as V
 from .autodiff import Tensor
-from .model import TableModel, cell_buffer_layout
+from .model import TableModel, content_buffer
 
 REPORT_FIELDS = (
     "struct_ce_ltor",
@@ -177,12 +177,10 @@ def sample_loss(
     boxes_pred = model.bbox_head(refined)
     parts["bbox"] = bbox_loss(boxes_pred, record.boxes)
 
-    concat = V.concat_cells([V.tokenize_content(c) for c in record.cells])
-    buf = [V.CONTENT.sos] + list(concat.ids)
-    layout = cell_buffer_layout(buf, record.n_cells())
+    buf, layout = content_buffer([list(V.tokenize_content(c).ids) for c in record.cells])
     cond = model.cell_conditioning(refined, boxes_pred)
     logits = model.cell_step(buf, layout, cond, feats)
-    parts["content_ce"] = content_loss(logits, list(concat.ids) + [V.CONTENT.eos])
+    parts["content_ce"] = content_loss(logits, buf[1:] + [V.CONTENT.eos])
 
     total = ad.add(
         ad.add(

@@ -216,21 +216,3 @@ def detokenize_content(ids) -> str:
         elif i == UNK_ID:
             out.append(UNK_CHAR)
     return "".join(out)
-
-
-def concat_cells(cells: list[TokenSeq]) -> TokenSeq:
-    """Join per-cell content sequences into one stream, one <sep> after each cell.
-
-    Rejects input cells that already contain <sep>; the joined stream is the
-    cell decoder's target layout and must allow unambiguous splitting.
-    """
-    ids: list[int] = []
-    for k, cell in enumerate(cells):
-        if cell.kind != "content":
-            raise ValueError("concat_cells expects content sequences")
-        if SEP_ID in cell.ids:
-            raise ValueError(f"cell {k} already contains {SEP}")
-        ids.extend(cell.ids)
-        ids.append(SEP_ID)
-    return TokenSeq("content", tuple(ids))
-

@@ -20,7 +20,7 @@ from tabmark.bench import make_scripted_step, run_bench
 from tabmark.teds import Node, html_to_tree, ted, ted_bruteforce, teds
 from tabmark.decoding import recognize
 from tabmark.evaluate import evaluate_pairs, summarize, summary_table
-from tabmark.model import ModelConfig, TableModel, cell_buffer_layout
+from tabmark.model import ModelConfig, TableModel, content_buffer
 from tabmark.training import gradcheck, realign
 
 
@@ -309,10 +309,8 @@ def test_criterion_8_mask_isolation(report):
 
         # Cell-wise: rewriting one cell's tokens leaves every other row's
         # logits bitwise unchanged (same buffer shape, same layout).
-        sep, sos = V.SEP_ID, V.CONTENT.sos
-        base = [sos, 5, 6, 7, sep, 8, 9, sep]
-        poked = [sos, 5, 6, 7, sep, 30, 31, sep]
-        layout = cell_buffer_layout(base, 2)
+        base, layout = content_buffer([[5, 6, 7], [8, 9]])
+        poked, _ = content_buffer([[5, 6, 7], [30, 31]])
         rng = np.random.default_rng(0)
         cond = ad.Tensor(rng.normal(size=(2, cfg.d)))
         l_base = model.cell_step(base, layout, cond, img_feats).data

@@ -20,7 +20,8 @@ from tabmark.decoding import (
     decode_html,
     recognize,
 )
-from tabmark.model import ZERO_FEAT, DecodeCache, ModelConfig, TableModel, cell_buffer_layout
+from tabmark.model import ZERO_FEAT, DecodeCache, ModelConfig, TableModel, content_buffer
+from test_model import loop_layout
 
 
 def tiny_cfg(**kw):
@@ -68,32 +69,33 @@ def flat_buffer(cells):
     return [V.CONTENT.sos] + [tok for cell in cells for tok in list(cell) + [V.SEP_ID]]
 
 
+def buffer_of(st):
+    return content_buffer(st.cells)[0]
+
+
 def assert_state_pattern(st):
     """The buffer is built from the cells, and each read position holds the
     cell's last token, or the boundary before the cell while it is empty."""
-    buf = st.buffer
+    buf = buffer_of(st)
     assert buf == flat_buffer(st.cells)
-    for k in range(len(st.cells)):
-        pos = st.read_position(k)
+    for k, pos in enumerate(st.read_position(range(len(st.cells)))):
         want = st.cells[k][-1] if st.cells[k] else (V.SEP_ID if k else V.CONTENT.sos)
         assert buf[pos] == want
         assert buf[pos + 1] == V.SEP_ID  # the cell's trailing SEP follows
         assert buf[pos + 1 - len(st.cells[k]) : pos + 1] == st.cells[k]
-    every = range(len(st.cells))
-    assert st.read_position(list(every)) == [st.read_position(k) for k in every]
 
 
 class TestDecodeState:
     def test_initial_layout(self):
         st = DecodeState.initial(2)
-        assert st.buffer == [V.CONTENT.sos, V.SEP_ID, V.SEP_ID]
+        assert buffer_of(st) == [V.CONTENT.sos, V.SEP_ID, V.SEP_ID]
         assert st.cells == [[], []]
         assert st.frozen == [False, False]
         assert_state_pattern(st)
 
     def test_initial_empty(self):
         st = DecodeState.initial(0)
-        assert st.buffer == [V.CONTENT.sos]
+        assert buffer_of(st) == [V.CONTENT.sos]
         assert st.unfrozen() == []
 
     def test_negative_count_rejected(self):
@@ -103,23 +105,24 @@ class TestDecodeState:
     def test_insert_appends_before_the_sep(self):
         st = DecodeState.initial(2)
         st.insert(0, 7)
-        assert st.buffer == [V.CONTENT.sos, 7, V.SEP_ID, V.SEP_ID]
+        assert buffer_of(st) == [V.CONTENT.sos, 7, V.SEP_ID, V.SEP_ID]
         assert st.cells == [[7], []]
         st.insert(1, 9)
-        assert st.buffer == [V.CONTENT.sos, 7, V.SEP_ID, 9, V.SEP_ID]
+        assert buffer_of(st) == [V.CONTENT.sos, 7, V.SEP_ID, 9, V.SEP_ID]
         assert_state_pattern(st)
 
     def test_read_position_is_before_the_sep(self):
         st = DecodeState.initial(2)
-        assert st.read_position(0) == 0  # SOS boundary while empty
-        assert st.read_position(1) == 1  # cell 0's SEP boundary
+        # the SOS boundary while cell 0 is empty, then cell 0's SEP boundary
+        assert st.read_position([0, 1]) == [0, 1]
         assert st.read_position([1, 0]) == [1, 0]
         st.insert(0, 7)
-        assert st.buffer[st.read_position(0)] == 7
+        assert buffer_of(st)[st.read_position([0])[0]] == 7
         st.insert(0, 8)
-        assert st.buffer[st.read_position(0)] == 8
-        assert st.buffer[st.read_position(1)] == V.SEP_ID
-        assert st.read_position(np.int64(1)) == 3
+        r0, r1 = st.read_position([0, 1])
+        assert buffer_of(st)[r0] == 8
+        assert buffer_of(st)[r1] == V.SEP_ID
+        assert r1 == 3
 
     def test_segments(self):
         st = DecodeState.initial(3)
@@ -127,7 +130,7 @@ class TestDecodeState:
             st.insert(0, t)
         st.insert(2, 9)
         assert st.cells == [[5, 6], [], [9]]
-        assert st.buffer == [V.CONTENT.sos, 5, 6, V.SEP_ID, V.SEP_ID, 9, V.SEP_ID]
+        assert buffer_of(st) == [V.CONTENT.sos, 5, 6, V.SEP_ID, V.SEP_ID, 9, V.SEP_ID]
         assert_state_pattern(st)
 
     def test_frozen_cell_rejects_insert(self):
@@ -164,7 +167,7 @@ class TestDecodeState:
                 assert_state_pattern(st)
             # same-cell order is preserved even though cells interleave
             assert st.cells == want
-            assert st.buffer == flat_buffer(want)
+            assert buffer_of(st) == flat_buffer(want)
 
 
 def force_structure(model, token_id):
@@ -336,7 +339,7 @@ def loop_decode_reference(cap, n, step, parallel):
                 for k in active:
                     frozen[k] = True
                 break
-            logits = step(buffer, cell_buffer_layout(buffer, n), None, None)
+            logits = step(buffer, loop_layout(buffer, n), None, None)
             passes += 1
             tokens = np.argmax(logits[np.take(cursors, active) - 1], axis=1).tolist()
             for k, token in zip(active, tokens):
@@ -348,7 +351,7 @@ def loop_decode_reference(cap, n, step, parallel):
                     truncated = True
                     frozen = [True] * n
                     break
-                logits = step(buffer, cell_buffer_layout(buffer, n), None, None)
+                logits = step(buffer, loop_layout(buffer, n), None, None)
                 passes += 1
                 advance(k, int(np.argmax(logits[cursors[k] - 1])))
             if truncated:
@@ -461,30 +464,24 @@ class TestTrainInferParity:
         m = TableModel(tiny_cfg())
         rec = synth.generate(MICRO, seed=7)
         cond, feats = conditioned(m, rec)
-        cells = [V.tokenize_content(c) for c in rec.cells]
+        cells = [content_ids(c) for c in rec.cells]
         n = len(cells)
 
-        concat = V.concat_cells(cells)
-        buf = [V.CONTENT.sos] + list(concat.ids)
         with ad.no_grad():
-            train_logits = m.cell_step(
-                buf, cell_buffer_layout(buf, n), cond, feats
-            ).data
+            train_logits = m.cell_step(*content_buffer(cells), cond, feats).data
 
-        starts = np.cumsum([0] + [len(c.ids) + 1 for c in cells])
+        starts = np.cumsum([0] + [len(c) + 1 for c in cells])
         for k in range(n):
-            for ell in range(len(cells[k].ids) + 1):
+            for ell in range(len(cells[k]) + 1):
                 st = DecodeState.initial(n)
                 for j in range(k):
-                    for t in cells[j].ids:
+                    for t in cells[j]:
                         st.insert(j, t)
-                for t in cells[k].ids[:ell]:
+                for t in cells[k][:ell]:
                     st.insert(k, t)
                 with ad.no_grad():
-                    mid_logits = m.cell_step(
-                        st.buffer, cell_buffer_layout(st.buffer, n), cond, feats
-                    ).data
-                got = mid_logits[st.read_position(k)]
+                    mid_logits = m.cell_step(*content_buffer(st.cells), cond, feats).data
+                got = mid_logits[st.read_position([k])[0]]
                 want = train_logits[starts[k] + ell]
                 assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -670,45 +667,40 @@ class TestDecodeCache:
         for a, b in zip(logs[False], logs[True]):
             assert np.abs(a - b).max() <= 1e-12
 
-    def scored_cell_cache(self, model, cond, feats, buf, n_cells):
+    def scored_cell_cache(self, model, cond, feats, cells):
         cache = DecodeCache(feats)
         with ad.no_grad():
-            model.cell_step(buf, cell_buffer_layout(buf, n_cells), cond, cache)
+            model.cell_step(*content_buffer(cells), cond, cache)
         return cache
 
     def test_buffer_that_does_not_extend_is_rejected(self):
         m = TableModel(tiny_cfg())
         rec = synth.generate(MICRO, seed=7)
         cond, feats = conditioned(m, rec)
-        sos, sep = V.CONTENT.sos, V.SEP_ID
-        buf = [sos, 5, 6, sep, 7, sep]
-        longer = [sos, 5, 6, 8, sep, 7, 9, sep]
+        longer = [[5, 6, 8], [7, 9]]
         step = m.cell_step
         with ad.no_grad():
             # a changed earlier token
-            cache = self.scored_cell_cache(m, cond, feats, buf, 2)
-            poked = [sos, 5, 30, 8, sep, 7, sep]
+            cache = self.scored_cell_cache(m, cond, feats, [[5, 6], [7]])
             with pytest.raises(ValueError, match="position 2 holds token 30"):
-                step(poked, cell_buffer_layout(poked, 2), cond, cache)
+                step(*content_buffer([[5, 30, 8], [7]]), cond, cache)
             # a dropped position
-            shorter = [sos, 5, sep, 7, sep]
             with pytest.raises(ValueError, match="scored positions"):
-                step(shorter, cell_buffer_layout(shorter, 2), cond, cache)
+                step(*content_buffer([[5], [7]]), cond, cache)
             # another cell count
             three = ad.Tensor(np.vstack([cond.data, cond.data[:1]]))
-            buf3 = longer + [sep]
             with pytest.raises(ValueError, match="scored for"):
-                step(buf3, cell_buffer_layout(buf3, 3), three, cache)
+                step(*content_buffer(longer + [[]]), three, cache)
             # another conditioning
             other = ad.Tensor(cond.data + 1.0)
             with pytest.raises(ValueError, match="conditioning"):
-                step(longer, cell_buffer_layout(longer, 2), other, cache)
+                step(*content_buffer(longer), other, cache)
             # another step
             with pytest.raises(ValueError, match="scored for"):
                 m.html_step([V.STRUCTURE.sos], "ltor", cache)
             # the cache survives every refusal and still extends exactly
-            got = step(longer, cell_buffer_layout(longer, 2), cond, cache).data
-            want = step(longer, cell_buffer_layout(longer, 2), cond, feats).data
+            got = step(*content_buffer(longer), cond, cache).data
+            want = step(*content_buffer(longer), cond, feats).data
             assert np.abs(got - want).max() <= 1e-12
 
     def test_structure_prefix_and_direction_are_checked(self):
@@ -830,18 +822,16 @@ class TestGatheredCellKeys:
             return [min(len(c), t * (1 + k % 2)) for k, c in enumerate(cells)]
 
         def buffer(t):
-            segments = [c[:cut] + [V.SEP_ID] for c, cut in zip(cells, lengths(t))]
-            return [V.CONTENT.sos] + [tok for seg in segments for tok in seg]
+            return content_buffer([c[:cut] for c, cut in zip(cells, lengths(t))])
 
         cache = DecodeCache(feats)
         checked = 0
         with ad.no_grad():
-            model.cell_step(buffer(0), cell_buffer_layout(buffer(0), n), cond, cache)
+            model.cell_step(*buffer(0), cond, cache)
             for t in range(1, max(map(len, cells)) + 1):
-                held = cell_buffer_layout(buffer(t - 1), n).mask_cells
+                held = buffer(t - 1)[1].mask_cells
                 held_rows = cache.rows  # row of each position of the last buffer
-                cur = buffer(t)
-                layout = cell_buffer_layout(cur, n)
+                cur, layout = buffer(t)
                 want = model.cell_step(cur, layout, cond, copy.deepcopy(cache)).data
                 plain = model.cell_step(cur, layout, cond, feats).data
                 assert np.abs(want - plain).max() <= 1e-12

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tabmark import synth
+from tabmark import evaluate, synth
 from tabmark.evaluate import (
     evaluate_pairs,
     pair_records,
@@ -77,6 +77,31 @@ class TestEvaluatePairs:
         assert worker_count() == 1
         with pytest.raises(ValueError):
             worker_count(0)
+
+    def test_at_most_one_worker_per_pair(self, monkeypatch):
+        # a fake pool records its size and maps in this process: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(it) for it in items]
+
+        monkeypatch.setattr(evaluate.multiprocessing, "Pool", FakePool)
+        want = evaluate_pairs(self.pairs(), workers=1)
+        assert evaluate_pairs(self.pairs(), workers=10**6) == want
+        monkeypatch.setenv("TABMARK_WORKERS", "64")
+        assert evaluate_pairs(self.pairs()[:2]) == want[:2]
+        assert evaluate_pairs(self.pairs(), workers=2) == want
+        assert sizes == [3, 2, 2]
 
     def test_bad_truth_error_names_the_sample(self):
         with pytest.raises(ValueError, match="bad-one"):

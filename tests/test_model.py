@@ -133,8 +133,8 @@ class TestCellBox:
 
 
 def loop_layout(ids, n_cells: int) -> M.BufferLayout:
-    """cell_buffer_layout as a loop over positions: the reference the
-    vectorised version must equal, errors included."""
+    """The layout of a content buffer, parsed back from its SEPs in a loop
+    over positions: the reference content_buffer's layout must equal."""
     ids = list(ids)
     if not ids or ids[0] != SOS:
         raise ValueError("content buffer must start with SOS")
@@ -169,26 +169,14 @@ def loop_layout(ids, n_cells: int) -> M.BufferLayout:
 
 
 class TestCellBufferLayout:
-    def test_requires_leading_sos(self):
-        with pytest.raises(ValueError, match="start with SOS"):
-            M.cell_buffer_layout([SEP], 1)
-
-    def test_stray_sos_rejected(self):
-        with pytest.raises(ValueError, match="stray SOS"):
-            M.cell_buffer_layout([SOS, SOS], 1)
-
-    def test_token_beyond_last_cell_rejected(self):
-        a = content_ids("a")[0]
-        with pytest.raises(ValueError, match="unknown cell"):
-            M.cell_buffer_layout([SOS, a], 0)
-        with pytest.raises(ValueError, match="unknown cell"):
-            M.cell_buffer_layout([SOS, a, SEP, a], 1)
+    """model.content_buffer: the buffer and its layout, written from per-cell
+    token lists."""
 
     def test_sep_count_assigns_cells(self):
         # "a b SEP SEP c SEP": c belongs to cell 2 (two SEPs precede it)
         a, b, c = content_ids("abc")
-        ids = [SOS, a, b, SEP, SEP, c, SEP]
-        lay = M.cell_buffer_layout(ids, 3)
+        ids, lay = M.content_buffer([[a, b], [], [c]])
+        assert ids == [SOS, a, b, SEP, SEP, c, SEP]
         assert lay.mask_cells[5] == 2
         np.testing.assert_array_equal(lay.mask_cells, [L.SOS_CELL, 0, 0, 3, 4, 2, 5])
         np.testing.assert_array_equal(lay.feat_index, [0, 0, 0, 1, 2, 2, M.ZERO_FEAT])
@@ -196,7 +184,8 @@ class TestCellBufferLayout:
 
     def test_initial_decode_buffer(self):
         # [SOS, SEP, SEP, SEP]: each SEP is its own island carrying the next cell
-        lay = M.cell_buffer_layout([SOS, SEP, SEP, SEP], 3)
+        ids, lay = M.content_buffer([[], [], []])
+        assert ids == [SOS, SEP, SEP, SEP]
         np.testing.assert_array_equal(lay.mask_cells, [L.SOS_CELL, 3, 4, 5])
         np.testing.assert_array_equal(lay.feat_index, [0, 1, 2, M.ZERO_FEAT])
         np.testing.assert_array_equal(lay.rel_pos, [0, 0, 0, 0])
@@ -206,11 +195,11 @@ class TestCellBufferLayout:
         letters = content_ids("abcdefgh")
         for _ in range(50):
             n_cells = int(rng.integers(1, 5))
-            ids = [SOS]
-            for _ in range(n_cells):
-                ids += [letters[int(rng.integers(0, 8))] for _ in range(int(rng.integers(0, 4)))]
-                ids.append(SEP)
-            lay = M.cell_buffer_layout(ids, n_cells)
+            cells = [
+                [letters[int(rng.integers(0, 8))] for _ in range(int(rng.integers(0, 4)))]
+                for _ in range(n_cells)
+            ]
+            ids, lay = M.content_buffer(cells)
             prev_boundary = True
             for p in range(1, len(ids)):
                 if prev_boundary and ids[p] != SEP:
@@ -218,36 +207,34 @@ class TestCellBufferLayout:
                 prev_boundary = ids[p] == SEP
 
     def test_equals_the_loop_reference(self):
-        # random buffers, valid ones and ones with a stray SOS, a token past
-        # the last cell or no leading SOS: equal arrays, or the same error
+        # random cell lists, zero cells, empty cells and cells of 13 or more
+        # tokens among them: the ids are [SOS] + (cell + SEP) per cell, and
+        # the layout equals the one parsed back from them, dtype included
         rng = np.random.default_rng(17)
         letters = content_ids("abcdefgh")
-        outcomes = {"layout": 0, "error": 0}
-        for _ in range(2000):
-            n_cells = int(rng.integers(0, 6))
-            ids = [SOS] if rng.random() > 0.02 else []
-            for _ in range(int(rng.integers(0, 30))):
-                r = rng.random()
-                ids.append(SEP if r < 0.25 else SOS if r < 0.27 else int(rng.choice(letters)))
-            try:
-                want = loop_layout(ids, n_cells)
-            except ValueError as e:
-                outcomes["error"] += 1
-                with pytest.raises(ValueError) as got:
-                    M.cell_buffer_layout(ids, n_cells)
-                assert str(got.value) == str(e)
-                continue
-            outcomes["layout"] += 1
-            for source in (ids, np.array(ids), tuple(ids)):
-                got = M.cell_buffer_layout(source, n_cells)
-                for f in ("mask_cells", "feat_index", "rel_pos"):
-                    a, b = getattr(got, f), getattr(want, f)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), (ids, n_cells, f)
-        assert min(outcomes.values()) > 200
+        seen = {"no cells": 0, "empty cell": 0, "long cell": 0}
+        for _ in range(1200):
+            n_cells = int(rng.integers(0, 7))
+            longest = 20 if rng.random() < 0.3 else 5
+            cells = [
+                [int(t) for t in rng.choice(letters, size=int(rng.integers(0, longest)))]
+                for _ in range(n_cells)
+            ]
+            seen["no cells"] += not cells
+            seen["empty cell"] += any(not c for c in cells)
+            seen["long cell"] += any(len(c) >= 13 for c in cells)
+            ids, got = M.content_buffer(cells)
+            assert type(ids) is list
+            assert ids == [SOS] + [t for c in cells for t in c + [SEP]]
+            want = loop_layout(ids, n_cells)
+            for f in ("mask_cells", "feat_index", "rel_pos"):
+                a, b = getattr(got, f), getattr(want, f)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (cells, f)
+        assert min(seen.values()) > 100, seen
 
     def test_sep_islands_are_unique(self):
         a, b = content_ids("ab")
-        lay = M.cell_buffer_layout([SOS, a, SEP, b, SEP], 2)
+        _, lay = M.content_buffer([[a], [b]])
         seps = [lay.mask_cells[2], lay.mask_cells[4]]
         assert seps == [2, 3]  # >= n_cells and distinct
 
@@ -424,33 +411,31 @@ class TestFetchRefine:
 
 
 class TestCellStep:
-    def run_step(self, m, buffer, n_cells, cond=None, img=None):
-        lay = M.cell_buffer_layout(buffer, n_cells)
+    def run_step(self, m, cells, cond=None, img=None):
+        buffer, lay = M.content_buffer(cells)
         if cond is None:
-            cond = Tensor(np.random.default_rng(9).standard_normal((n_cells, m.cfg.d)))
+            cond = Tensor(np.random.default_rng(9).standard_normal((len(cells), m.cfg.d)))
         if img is None:
             img = m.encode_image(np.zeros((m.cfg.image_side, m.cfg.image_side)))
         return m.cell_step(buffer, lay, cond, img)
 
     def test_shape(self, model):
         a, b = content_ids("ab")
-        buf = [SOS, a, SEP, b, SEP]
-        logits = self.run_step(model, buf, 2)
+        logits = self.run_step(model, [[a], [b]])
         assert logits.shape == (5, len(V.CONTENT))
 
     def test_cap_rejected(self):
         m = M.TableModel(tiny_cfg(content_cap=2))
         with pytest.raises(ValueError, match="exceeds cap"):
-            self.run_step(m, [SOS, SEP, SEP], 2)
+            self.run_step(m, [[], []])
 
     def test_layout_mismatch_rejected(self, model, img_feats):
-        lay = M.cell_buffer_layout([SOS, SEP], 1)
+        _, lay = M.content_buffer([[]])
         with pytest.raises(ValueError, match="layout length"):
             model.cell_step([SOS, SEP, SEP], lay, Tensor(np.zeros((2, 16))), img_feats)
 
     def test_missing_feature_rejected(self, model, img_feats):
-        buf = [SOS, SEP, SEP]
-        lay = M.cell_buffer_layout(buf, 2)
+        buf, lay = M.content_buffer([[], []])
         with pytest.raises(ValueError, match="no feature"):
             model.cell_step(buf, lay, Tensor(np.zeros((1, 16))), img_feats)
 
@@ -458,10 +443,10 @@ class TestCellStep:
         # equal-length edit in cell 0 leaves every cell-1 row bitwise unchanged
         a, b, x, y, c = content_ids("abxyc")
         cond = Tensor(np.random.default_rng(11).standard_normal((2, 16)))
-        buf1 = [SOS, a, b, SEP, c, SEP]
-        buf2 = [SOS, x, y, SEP, c, SEP]
-        l1 = model.cell_step(buf1, M.cell_buffer_layout(buf1, 2), cond, img_feats)
-        l2 = model.cell_step(buf2, M.cell_buffer_layout(buf2, 2), cond, img_feats)
+        buf1, lay1 = M.content_buffer([[a, b], [c]])
+        buf2, lay2 = M.content_buffer([[x, y], [c]])
+        l1 = model.cell_step(buf1, lay1, cond, img_feats)
+        l2 = model.cell_step(buf2, lay2, cond, img_feats)
         np.testing.assert_array_equal(l1.data[4], l2.data[4])  # c's row
         np.testing.assert_array_equal(l1.data[3], l2.data[3])  # cell 0's SEP island
         assert not np.array_equal(l1.data[1], l2.data[1])
@@ -495,8 +480,7 @@ class TestVariantSurgery:
         for m in (m1, m2):
             m.params["cell.mix_feat.w"].data[:] = 0.0
         a, b = content_ids("ab")
-        buf = [SOS, a, SEP, b, SEP]
-        lay = M.cell_buffer_layout(buf, 2)
+        buf, lay = M.content_buffer([[a], [b]])
         img = m1.encode_image(np.zeros((32, 32)))
         rng = np.random.default_rng(15)
         refined = Tensor(rng.standard_normal((2, 16)))
@@ -562,9 +546,7 @@ class TestEndToEnd:
         boxes = m.bbox_head(refined)
         assert boxes.shape == (n, 4)
 
-        content = V.concat_cells([V.tokenize_content(c) for c in rec.cells])
-        buf = [SOS] + list(content.ids)
-        lay = M.cell_buffer_layout(buf, n)
+        buf, lay = M.content_buffer([content_ids(c) for c in rec.cells])
         cond = m.cell_conditioning(refined, boxes)
         cell_logits = m.cell_step(buf, lay, cond, feats)
         assert cell_logits.shape == (len(buf), len(V.CONTENT))
@@ -602,8 +584,7 @@ def fused_layer_outputs(model: M.TableModel, rec: synth.TableRecord) -> dict:
         cond = Tensor(np.random.default_rng(len(cells)).normal(size=(len(cells), cfg.d)))
         cache = M.DecodeCache(feats)
         for t in range(max(map(len, cells)) + 1):  # every cell grows by a token per pass
-            buf = [SOS] + [tok for c in cells for tok in c[:t] + [SEP]]
-            layout = M.cell_buffer_layout(buf, len(cells))
+            buf, layout = M.content_buffer([c[:t] for c in cells])
             logits = model.cell_step(buf, layout, cond, cache)
         out["cell cached"] = logits.data
         out["cell"] = model.cell_step(buf, layout, cond, feats).data

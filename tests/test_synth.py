@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -258,6 +259,22 @@ class TestCorpusIO:
 
         path = self.corrupt_line(tmp_path, self.edit_json(change))
         self.assert_located(path, re.escape(f"cell 1 box {box!r} is not 4 numbers"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308, -0.5, 1.5])
+    def test_box_outside_the_unit_range_is_located(self, tmp_path, bad):
+        # a NaN or huge box used to load and stop training on a non-finite loss
+        box = [0.5, bad, 0.1, 0.1]
+
+        def change(ann):
+            ann["cells"][1]["box"] = box
+
+        path = self.corrupt_line(tmp_path, self.edit_json(change))
+        self.assert_located(path, re.escape(f"cell 1 box {box!r} is not 4 numbers in [0, 1]"))
+
+    @pytest.mark.parametrize("seed", [5, "ab", [1.5], [True], None])
+    def test_seed_not_a_list_of_integers_is_located(self, tmp_path, seed):
+        path = self.corrupt_line(tmp_path, self.edit_json(lambda a: a.__setitem__("seed", seed)))
+        self.assert_located(path, re.escape(f"field 'seed' {seed!r} is not a list of integers"))
 
     def test_record_regenerable_from_stored_seed(self, tmp_path):
         path = str(tmp_path / "c")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tabmark import vocab as V
+from tabmark.model import content_buffer
 
 
 def tok(s: str) -> int:
@@ -130,36 +131,31 @@ class TestContent:
 
 
 class TestConcatCells:
+    """Joining per-cell content ids into the content buffer (model.content_buffer)."""
+
     def test_empty_list(self):
-        assert V.concat_cells([]).ids == ()
+        assert content_buffer([])[0] == [V.CONTENT.sos]
 
     def test_layout_and_split(self):
-        cells = [V.tokenize_content(s) for s in ("ab", "", "c")]
-        joined = V.concat_cells(cells)
+        cells = [list(V.tokenize_content(s).ids) for s in ("ab", "", "c")]
+        joined, _ = content_buffer(cells)
         a, b, c = (V.CONTENT[ch] for ch in "abc")
-        assert joined.ids == (a, b, V.SEP_ID, V.SEP_ID, c, V.SEP_ID)
+        assert joined == [V.CONTENT.sos, a, b, V.SEP_ID, V.SEP_ID, c, V.SEP_ID]
 
     def test_cell_index_by_sep_count(self):
-        joined = V.concat_cells([V.tokenize_content(s) for s in ("ab", "", "c")])
-        pos_c = list(joined.ids).index(V.CONTENT["c"])
-        assert sum(1 for i in joined.ids[:pos_c] if i == V.SEP_ID) == 2
-
-    def test_rejects_sep_in_input(self):
-        bad = V.TokenSeq("content", (V.SEP_ID,))
-        with pytest.raises(ValueError):
-            V.concat_cells([bad])
+        joined, _ = content_buffer([list(V.tokenize_content(s).ids) for s in ("ab", "", "c")])
+        pos_c = joined.index(V.CONTENT["c"])
+        assert sum(1 for i in joined[:pos_c] if i == V.SEP_ID) == 2
 
     def test_sep_count_bijection(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(0, 8))
-            cells = [
-                V.tokenize_content("".join(rng.choice(list("abc"), size=rng.integers(0, 5))))
-                for _ in range(n)
-            ]
-            joined = V.concat_cells(cells)
-            assert sum(1 for i in joined.ids if i == V.SEP_ID) == n
-            assert joined.ids == tuple(i for c in cells for i in c.ids + (V.SEP_ID,))
+            texts = ["".join(rng.choice(list("abc"), size=rng.integers(0, 5))) for _ in range(n)]
+            cells = [list(V.tokenize_content(t).ids) for t in texts]
+            joined, _ = content_buffer(cells)
+            assert sum(1 for i in joined if i == V.SEP_ID) == n
+            assert joined == [V.CONTENT.sos] + [i for c in cells for i in c + [V.SEP_ID]]
 
 
 class TestTokenSeq:
