@@ -4,8 +4,11 @@
     git archive <change-commit> | tar -x -C <change-dir>
     python3 scripts/bench_pairs.py --parent <parent-dir> --change <change-dir> \\
         --parent-commit <sha> --slug <slug> --what "<one line>" --pairs 10 \\
-        --workloads recognize_dense recognize_wide train_wide --claim recognize_dense
+        --workloads recognize_dense recognize_wide train_wide --claim recognize_dense setup_s
 
+`--claim WORKLOAD [METRIC]` names the claimed workload and end-to-end metric
+(op_s.p50 when no metric is named); both must be in BENCHMARK.json, and the
+workload among those run.  At least 2 pairs are needed for quartiles.
 Pair i runs seed i+1 on both sides with `--trace 0` and BENCHMARK.json's
 run_seconds; the parent runs first in even pairs, the change in odd ones.
 Every run is kept.  The summary gives, per workload and end-to-end metric,
@@ -88,6 +91,24 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def claim_of(claim: list[str] | None, spec: dict, workloads: list[str]) -> dict | None:
+    """The claimed workload and metric from `--claim WORKLOAD [METRIC]`;
+    ValueError names what BENCHMARK.json or the run does not have."""
+    if claim is None:
+        return None
+    if len(claim) > 2:
+        raise ValueError(f"--claim takes a workload and at most one metric, got {claim}")
+    workload, metric = claim[0], claim[1] if len(claim) == 2 else "op_s.p50"
+    known = {"workload": [w["name"] for w in spec["workloads"]],
+             "metric": [m["name"] for m in spec["end_to_end"]]}
+    for kind, name in (("workload", workload), ("metric", metric)):
+        if name not in known[kind]:
+            raise ValueError(f"claimed {kind} {name!r} is not in BENCHMARK.json: {known[kind]}")
+    if workload not in workloads:
+        raise ValueError(f"claimed workload {workload!r} is not among --workloads {workloads}")
+    return {"workload": workload, "metric": metric}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -98,16 +119,23 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", required=True)
-    ap.add_argument("--claim", default=None, help="the workload whose op_s.p50 is claimed")
+    ap.add_argument("--claim", nargs="+", default=None, metavar=("WORKLOAD", "METRIC"),
+                    help="the claimed workload and metric (default metric op_s.p50)")
     ns = ap.parse_args()
+    if ns.pairs < 2:
+        ap.error(f"--pairs needs at least 2 pairs for quartiles, got {ns.pairs}")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    try:
+        claimed = claim_of(ns.claim, spec, ns.workloads)
+    except ValueError as e:
+        ap.error(str(e))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     command = (
         f"python3 scripts/bench_pairs.py --parent <parent-dir> --change <change-dir> "
         f"--parent-commit {ns.parent_commit} --slug {ns.slug} --pairs {ns.pairs} "
         f"--first-seed {ns.first_seed} --workloads {' '.join(ns.workloads)}"
-        + (f" --claim {ns.claim}" if ns.claim else "")
+        + (f" --claim {claimed['workload']} {claimed['metric']}" if claimed else "")
     )
     path = os.path.join(ROOT, f"BENCH_{ns.slug}.json")
     runs: dict[str, list[dict]] = {w: [] for w in ns.workloads}
@@ -135,7 +163,7 @@ def main() -> None:
             "inputs": "default ModelConfig (machine.model_config), untrained weights, "
                       "scripted structure and cell lengths",
             "run_seconds": spec["run_seconds"],
-            "claimed": None if ns.claim is None else {"workload": ns.claim, "metric": "op_s.p50"},
+            "claimed": claimed,
             "summary": {k: summarize(v, metrics) for k, v in done.items()},
             "runs": done,
         }

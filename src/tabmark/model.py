@@ -366,7 +366,12 @@ class TableModel:
             )
             memory = cache.memory
         emb = ad.take_rows(self.struct_emb, ids[new])
-        dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
+        if cache is not None and cache.dir_vecs is not None:  # one direction per cache
+            dir_vecs = cache.dir_vecs
+        else:
+            dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
+            if cache is not None:
+                cache.dir_vecs = dir_vecs
         x = ad.add(
             ad.add(ad.matmul(emb, self.html_mix_tok), ad.take_rows(dir_vecs, student[new])),
             self.html_mix_b,
@@ -523,6 +528,7 @@ class DecodeCache:
 
     html_step and cell_step take it where they take the image memory.  It
     holds each cross-attention block's memory keys and values, projected once,
+    a structure decode's direction vectors, mixed once,
     and for every scored position each block's self-attention keys and values
     and the step's output rows (hidden and logits), in buffers that grow by
     doubling.  A step computes only the positions it has not scored, with a
@@ -558,6 +564,7 @@ class DecodeCache:
         self.table = np.full((0, 0), -1, dtype=np.int64)  # cells: (mask cell+1, rel) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
+        self.dir_vecs = None  # structure: html_step's direction vectors, set on the first pass
         self.rows = None  # row per buffer position of the current pass
         self.pending = None  # the new rows' tokens and, for cells, table keys
 

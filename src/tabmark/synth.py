@@ -5,6 +5,12 @@ canvas, uniform grid lines, rectangular merges.  Recognition is meant to be
 OCR-trivial so experiments isolate the decoding machinery, not vision.
 All randomness flows from one seed per record; images are quantized to 8-bit
 at generation time so in-memory and on-disk pixels are identical.
+
+The stream is part of the corpus format: a record is its seed.  Each
+character of a cell's content takes one bounded integer,
+``rng.integers(len(_CHARS))``, the draw ``rng.choice`` over the same 40
+characters took, so corpora generated before glyphs were scaled with
+``repeat`` and drawn from a ``str`` are unchanged, byte for byte.
 """
 
 from __future__ import annotations
@@ -203,7 +209,7 @@ def _cell_capacity(rect, scale: int) -> tuple[int, int]:
     return int(per_line), int(lines)
 
 
-_CHARS = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789.,-%"))
+_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789.,-%"
 
 
 def _sample_content(length: int, spec: GenSpec, rng: np.random.Generator) -> str:
@@ -213,7 +219,7 @@ def _sample_content(length: int, spec: GenSpec, rng: np.random.Generator) -> str
         if can_space and rng.random() < spec.space_prob:
             out.append(" ")
         else:
-            out.append(str(rng.choice(_CHARS)))
+            out.append(_CHARS[rng.integers(len(_CHARS))])
     return "".join(out)
 
 
@@ -232,7 +238,7 @@ def _render_text(canvas: np.ndarray, rect, text: str, scale: int):
             if ch == " " or ch not in GLYPHS:
                 continue
             x = x0 + ci * ADVANCE * scale
-            bitmap = np.kron(GLYPHS[ch], np.ones((scale, scale), dtype=bool))
+            bitmap = GLYPHS[ch].repeat(scale, axis=0).repeat(scale, axis=1)
             gh, gw = bitmap.shape
             canvas[y : y + gh, x : x + gw][bitmap] = INK
             if extent is None:

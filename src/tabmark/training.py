@@ -200,6 +200,9 @@ class AdamW:
 
     A zero learning rate still advances the moment state but leaves every
     weight bitwise untouched.  Parameters without a gradient are skipped.
+    Moments and weights are updated in place, in the operation order of
+    w - lr*wd*w - lr*(m/c1)/(sqrt(v/c2) + eps), so each parameter's step
+    allocates two scratch arrays.
     """
 
     def __init__(self, params, lr: float, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
@@ -220,15 +223,25 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m, v = self._m[name], self._v[name]
+            m, v, w = self._m[name], self._v[name], p.data
+            t = (1.0 - self.b1) * g  # scratch, reused for each later term
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += t
+            np.multiply(g, 1.0 - self.b2, out=t)
+            t *= g
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
+            v += t
             if self.lr == 0.0:
                 continue
-            p.data = p.data - self.lr * self.wd * p.data
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(w, self.lr * self.wd, out=t)
+            w -= t
+            np.divide(m, c1, out=t)
+            t *= self.lr
+            s = np.divide(v, c2)
+            np.sqrt(s, out=s)
+            s += self.eps
+            t /= s
+            w -= t
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,21 @@ Import as ``from references import ...``; pytest puts this directory on the
 import path.  relu and swapaxes are autodiff primitives, one tape node each,
 from which conftest's composed_ops rebuild the fused layer ops.
 mutual_loss is the probability-space form of the bidirectional structure
-loss that training computes from logits.
+loss that training computes from logits.  generate is synth.generate with its
+earlier character draw (rng.choice over a NumPy array) and glyph scaling
+(np.kron), which the corpora of this repository were first generated with.
+AdamW steps with a new array for each intermediate and each weight update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 from tabmark import autodiff as ad
+from tabmark import synth, training
 from tabmark.autodiff import Tensor
 from tabmark.training import LossReport, LossWeights, realign
 
@@ -71,3 +76,72 @@ def mutual_loss(
     kl_rt = _kl_rows(realign(q_ltor.probs), q_rtol.probs)
     total = w.struct_ce * (ce_lt + ce_rt) + w.kl * (kl_lt + kl_rt)
     return LossReport(ce_lt, ce_rt, kl_lt, kl_rt, 0.0, 0.0, total)
+
+
+class AdamW(training.AdamW):
+    def step(self) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self._m[name], self._v[name]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            if self.lr == 0.0:
+                continue
+            p.data = p.data - self.lr * self.wd * p.data
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+_CHARS = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789.,-%"))
+
+
+def _sample_content(length: int, spec: synth.GenSpec, rng: np.random.Generator) -> str:
+    out: list[str] = []
+    for i in range(length):
+        can_space = 0 < i < length - 1 and out[-1] != " "
+        if can_space and rng.random() < spec.space_prob:
+            out.append(" ")
+        else:
+            out.append(str(rng.choice(_CHARS)))
+    return "".join(out)
+
+
+def _render_text(canvas: np.ndarray, rect, text: str, scale: int):
+    pad = 1 + scale
+    per_line, max_lines = synth._cell_capacity(rect, scale)
+    if per_line == 0 or max_lines == 0:
+        return None
+    x0, y0 = rect[0] + pad, rect[1] + pad
+    extent = None
+    for li in range(min(max_lines, (len(text) + per_line - 1) // per_line)):
+        line = text[li * per_line : (li + 1) * per_line]
+        y = y0 + li * synth.LINE_STEP * scale
+        for ci, ch in enumerate(line):
+            if ch == " " or ch not in synth.GLYPHS:
+                continue
+            x = x0 + ci * synth.ADVANCE * scale
+            bitmap = np.kron(synth.GLYPHS[ch], np.ones((scale, scale), dtype=bool))
+            gh, gw = bitmap.shape
+            canvas[y : y + gh, x : x + gw][bitmap] = synth.INK
+            if extent is None:
+                extent = [x, y, x + gw, y + gh]
+            else:
+                extent[0] = min(extent[0], x)
+                extent[1] = min(extent[1], y)
+                extent[2] = max(extent[2], x + gw)
+                extent[3] = max(extent[3], y + gh)
+    return extent
+
+
+def generate(spec: synth.GenSpec, seed) -> synth.TableRecord:
+    """synth.generate with the reference character draw and glyph scaling."""
+    with mock.patch.object(synth, "_sample_content", _sample_content), mock.patch.object(
+        synth, "_render_text", _render_text
+    ):
+        return synth.generate(spec, seed)

@@ -64,3 +64,78 @@ def test_every_benchmark_metric_gets_a_verdict():
     summary = bench_pairs.summarize(seeded, metrics)
     assert {summary[name]["no_regression"] for name in metrics} == {"ok"}
     assert summary["failed"] == {"parent": 0, "change": 0}
+
+
+def no_run(*_):
+    raise AssertionError("a benchmark run started")
+
+
+def main(monkeypatch, *args, run=no_run):
+    """Run the script's main with args after the required ones."""
+    monkeypatch.setattr(bench_pairs, "run", run)
+    argv = ["bench_pairs.py", "--parent", "p", "--change", "c", "--parent-commit", "abc",
+            "--slug", "t", "--what", "w"]
+    monkeypatch.setattr("sys.argv", argv + list(args))
+    bench_pairs.main()
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_rejected_before_running(monkeypatch, capsys, pairs):
+    with pytest.raises(SystemExit) as e:
+        main(monkeypatch, "--pairs", pairs, "--workloads", "recognize_dense")
+    assert e.value.code == 2
+    assert f"--pairs needs at least 2 pairs for quartiles, got {pairs}" in capsys.readouterr().err
+
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN = ["recognize_dense", "train_wide"]
+
+
+@pytest.mark.parametrize(
+    "claim, want",
+    [
+        (None, None),
+        (["recognize_dense"], {"workload": "recognize_dense", "metric": "op_s.p50"}),
+        (["recognize_dense", "setup_s"], {"workload": "recognize_dense", "metric": "setup_s"}),
+        (["train_wide", "items_per_s"], {"workload": "train_wide", "metric": "items_per_s"}),
+    ],
+)
+def test_claim_names_workload_and_metric(claim, want):
+    assert bench_pairs.claim_of(claim, SPEC, RUN) == want
+
+
+@pytest.mark.parametrize(
+    "claim, fault",
+    [
+        (["recognize_dens"], "claimed workload 'recognize_dens' is not in BENCHMARK.json"),
+        (["recognize_dense", "setup"], "claimed metric 'setup' is not in BENCHMARK.json"),
+        (["recognize_wide"], "claimed workload 'recognize_wide' is not among --workloads"),
+        (["recognize_dense", "setup_s", "x"], "--claim takes a workload and at most one metric"),
+    ],
+)
+def test_bad_claim_rejected_before_running(monkeypatch, capsys, claim, fault):
+    with pytest.raises(ValueError, match=fault.replace("(", r"\(")):
+        bench_pairs.claim_of(claim, SPEC, RUN)
+    with pytest.raises(SystemExit) as e:
+        main(monkeypatch, "--workloads", *RUN, "--claim", *claim)
+    assert e.value.code == 2 and fault in capsys.readouterr().err
+
+
+def test_claimed_metric_is_written(monkeypatch, tmp_path):
+    """The written JSON names the claimed metric, not op_s.p50 whatever is claimed."""
+    results = iter(range(1000))
+
+    def fake_run(tree, workload, seed):
+        v = 1.0 + next(results) / 100
+        metrics = {name: {"value": v} for name in (m["name"] for m in SPEC["end_to_end"])}
+        record = {k: None for k in bench_pairs.MACHINE_KEYS}
+        return {"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}, record
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    main(monkeypatch, "--pairs", "2", "--workloads", "recognize_dense",
+         "--claim", "recognize_dense", "setup_s", run=fake_run)
+    out = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert out["claimed"] == {"workload": "recognize_dense", "metric": "setup_s"}
+    assert out["command"].endswith("--claim recognize_dense setup_s")
+    assert out["summary"]["recognize_dense"]["pairs"] == 2

@@ -735,6 +735,28 @@ class TestDecodeCache:
                 assert np.swapaxes(k.data, 1, 2).flags.c_contiguous and v.data.flags.c_contiguous
                 assert np.array_equal(k.data, want_k.data) and np.array_equal(v.data, want_v.data)
 
+    def test_direction_vectors_mixed_once(self, monkeypatch):
+        # held from the first pass on, and bitwise what a pass mixing them
+        # again computes
+        m = TableModel(tiny_cfg(html_blocks=2))
+        sos = V.STRUCTURE.sos
+        row = [V.STRUCTURE[t] for t in ("<tr>", "<td></td>", "<td></td>", "</tr>")]
+        ids = [sos] + row * 2
+        mixes = []
+        matmul = ad.matmul
+        monkeypatch.setattr(
+            ad, "matmul", lambda a, b: (b is m.html_mix_dir and mixes.append(a)) or matmul(a, b)
+        )
+        with ad.no_grad():
+            cache = DecodeCache(m.encode_image(np.zeros((32, 32))))
+            for k in range(1, len(ids) + 1):
+                fresh = copy.deepcopy(cache)
+                fresh.dir_vecs = None
+                want = m.html_step(ids[:k], "ltor", fresh)
+                got = m.html_step(ids[:k], "ltor", cache)
+                assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want))
+        assert len(mixes) == 1 + len(ids)  # the first held pass, and every fresh copy
+
     def test_first_cached_pass_refuses_gradients(self):
         # the held memory keys carry no gradient, so not even a first pass may tape
         m = TableModel(tiny_cfg())

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import references
 
 from tabmark import synth
 from tabmark import vocab as V
@@ -123,6 +124,61 @@ class TestGenerate:
         spec = synth.GenSpec(rows=(1, 1), cols=(2, 2), merge_prob=1.0, max_span=2)
         rec = synth.generate(spec, 0)  # rowspan merges cannot fit; must not hang
         assert len(rec.cells) >= 1
+
+
+def assert_records_identical(got: synth.TableRecord, want: synth.TableRecord) -> None:
+    for arr in ("image", "boxes"):
+        a, b = getattr(got, arr), getattr(want, arr)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), arr
+    for field in ("structure_ids", "cells", "is_complex", "seed"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def random_spec(rng: np.random.Generator) -> synth.GenSpec:
+    """A valid spec over the ranges the reference must agree on: glyph
+    scales 1-3, contents from 0 characters, spaces never, sometimes or
+    always, merges and margins."""
+    rows = sorted(rng.integers(1, 7, size=2).tolist())
+    cols = sorted(rng.integers(1, 7, size=2).tolist())
+    lo = int(rng.integers(0, 9))
+    return synth.GenSpec(
+        rows=tuple(rows),
+        cols=tuple(cols),
+        merge_prob=float(rng.choice([0.0, 0.3, 1.0])),
+        max_span=int(rng.integers(2, 5)),
+        max_merges=int(rng.integers(0, 5)),
+        content_len=(lo, lo + int(rng.integers(0, 12))),
+        border_prob=float(rng.random()),
+        glyph_scale=int(rng.integers(1, 4)),
+        image_side=int(rng.integers(48, 129)),
+        margin=int(rng.integers(0, 11)),
+        space_prob=float(rng.choice([0.0, 0.3, 1.0])),
+    )
+
+
+class TestGenerateEqualsReference:
+    """generate draws each character as one bounded integer and scales each
+    glyph with repeat; the records stay bitwise those of the reference."""
+
+    @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+    def test_presets(self, preset):
+        spec = synth.PRESETS[preset]
+        for seed in synth.sample_seeds(7, 150):
+            assert_records_identical(synth.generate(spec, seed), references.generate(spec, seed))
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(2024)
+        scales, spaces, empty, merged = set(), set(), 0, 0
+        for k in range(200):
+            spec = random_spec(rng)
+            scales.add(spec.glyph_scale)
+            spaces.add(spec.space_prob)
+            for seed in (k, (k, 1), 10_000 + k):
+                rec = synth.generate(spec, seed)
+                assert_records_identical(rec, references.generate(spec, seed))
+                empty += "" in rec.cells
+                merged += rec.is_complex
+        assert scales == {1, 2, 3} and spaces == {0.0, 0.3, 1.0} and empty and merged
 
 
 class TestCorpusIO:

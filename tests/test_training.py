@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from references import DistributionSeq, mutual_loss
+from references import AdamW as ReferenceAdamW, DistributionSeq, mutual_loss
 from tabmark import autodiff as ad
 from tabmark import checkpoint
 from tabmark import layers as L
@@ -372,6 +372,30 @@ class TestAdamW:
             p.grad = np.zeros_like(p.data)
         opt.step()
         np.testing.assert_allclose(w.data, before * (1.0 - 0.1 * 0.5), rtol=1e-12)
+
+    def test_in_place_step_equals_reference(self):
+        # 20 steps over three shapes, with a zero-lr stretch and a parameter
+        # whose gradient is missing on some steps
+        rng = np.random.default_rng(11)
+        shapes = {"a": (7,), "b": (16, 9), "c": (3, 3, 4, 5)}
+        weights = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        store = {}
+        for side, cls in (("got", T.AdamW), ("want", ReferenceAdamW)):
+            params = {n: ad.Tensor(w.copy(), requires_grad=True) for n, w in weights.items()}
+            store[side] = params, cls(params, lr=1e-2, weight_decay=0.05)
+        for step in range(20):
+            grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3)
+                     for n, s in shapes.items()}
+            for params, opt in store.values():
+                opt.lr = 0.0 if 5 <= step < 8 else 1e-2 / (1 + step)
+                for n, p in params.items():
+                    p.grad = None if n == "c" and step % 3 == 0 else grads[n].copy()
+                opt.step()
+            (got, got_opt), (want, want_opt) = store["got"], store["want"]
+            for n in shapes:
+                assert got[n].data.tobytes() == want[n].data.tobytes(), (step, n)
+                assert got_opt._m[n].tobytes() == want_opt._m[n].tobytes(), (step, n)
+                assert got_opt._v[n].tobytes() == want_opt._v[n].tobytes(), (step, n)
 
 
 class TestLrSchedule:
