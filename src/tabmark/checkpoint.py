@@ -92,7 +92,10 @@ def load(path: str) -> TableModel:
                     f"model expects {expected[name].data.shape}"
                 )
             raw = _read(fh, 8 * expected[name].data.size)
-            expected[name].data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
+            expected[name].data = data
             seen.add(name)
         missing = sorted(set(expected) - seen)
         if missing:

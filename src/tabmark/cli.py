@@ -21,8 +21,8 @@ from . import checkpoint, synth
 from .bench import BenchMismatch, run_bench
 from .decoding import recognize
 from .evaluate import evaluate_pairs, pair_records, read_records, summarize, summary_table
-from .model import VARIANTS, ModelConfig, TableModel
-from .training import TrainConfig, TrainingDiverged, read_fields, train
+from .model import VARIANTS, ModelConfig, TableModel, read_fields, read_value
+from .training import TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,8 +56,16 @@ def deep_update(base: dict, extra: dict) -> dict:
 
 
 def load_config_file(path: str) -> dict:
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: config key {key!r} given twice")
+            obj[key] = value
+        return obj
+
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=unique)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return data
@@ -103,10 +111,14 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def config_int(value, key: str, low: int) -> int:
-    """A JSON config integer read by type: an int, not a bool, >= low."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    """A JSON config integer >= low, read as read_value reads an integer field."""
+    try:
+        n = read_value(0, value)
+    except ValueError:
+        n = None
+    if n is None or n < low:
         raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
+    return n
 
 
 def _section(cfg: dict, name: str) -> dict:

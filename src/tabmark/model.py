@@ -31,7 +31,7 @@ build_cellwise_mask), as in training, which keeps no rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -129,41 +129,67 @@ class ModelConfig:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            raw[key.strip()] = val.strip()
+            key = key.strip()
+            if key in raw:
+                raise ValueError(f"config key {key} given twice")
+            raw[key] = val.strip()
         return cls.from_fields(raw)
 
     @classmethod
     def from_fields(cls, raw: dict) -> "ModelConfig":
-        """A validated config from field values as text, or as JSON numbers
-        and lists: every value is read through its text, so 5 and "5" are
-        read alike, and a bad value (5.0 among them) is named with its key."""
-        raw = dict(raw)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            v = raw.pop(f.name)
-            if f.name == "variant":
-                kwargs[f.name] = v
-                continue
-            many = f.name == "enc_channels"
-            try:
-                if many:
-                    items = v if isinstance(v, (list, tuple)) else str(v).split(",")
-                    kwargs[f.name] = tuple(int(str(x)) for x in items)
-                else:
-                    kwargs[f.name] = int(str(v))
-            except ValueError:
-                need = "comma-separated integers" if many else "an integer"
-                raise ValueError(f"config key {f.name} needs {need}, got {v!r}") from None
-        if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
-        cfg = cls(**kwargs)
+        """A validated config from JSON values or header text (read_fields)."""
+        cfg = cls(**read_fields(cls, raw, "config"))
         cfg.validate()
         return cfg
 
     def with_variant(self, variant: str) -> "ModelConfig":
         return replace(self, variant=variant)
+
+
+def read_fields(cls, raw, where: str) -> dict:
+    """The field values of dataclass cls in a JSON object, or in a checkpoint
+    header's text, each read by read_value; a dataclass field is an object,
+    read the same way.  A bad value is named with its key; `where` names the
+    object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} needs a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    defaults, kwargs = cls(), {}
+    for key, v in raw.items():
+        like = getattr(defaults, key)
+        if is_dataclass(like):
+            kwargs[key] = type(like)(**read_fields(type(like), v, f"{where} {key}"))
+            continue
+        try:
+            kwargs[key] = read_value(like, v)
+        except ValueError as need:
+            raise ValueError(f"{where} key {key} needs {need}, got {v!r}") from None
+    return kwargs
+
+
+def read_value(like, v):
+    """One config value read by the type of `like`, its field's default: a
+    number takes a JSON number or its text; a tuple takes a JSON list or
+    comma-separated text, each item read as a number.  Any other value is
+    returned as given, for validate to judge.  Numbers are read through their
+    text, and str(True) is "True" and str(None) "None", so true, false and
+    null are never numbers.  A ValueError says what the value needs."""
+    many = isinstance(like, tuple)
+    kind = type(like[0] if many else like)
+    if kind not in (int, float):
+        return v
+    items = v.split(",") if many and isinstance(v, str) else v
+    try:
+        if not many:
+            return kind(str(v))
+        if isinstance(items, (list, tuple)):
+            return tuple(kind(str(x)) for x in items)
+    except ValueError:
+        pass
+    need = "an integer" if kind is int else "a number"
+    raise ValueError(f"a list, each item {need}" if many else need)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import checkpoint
 from . import synth
 from . import vocab as V
 from .autodiff import Tensor
-from .model import TableModel, content_buffer
+from .model import TableModel, content_buffer, read_fields
 
 REPORT_FIELDS = (
     "struct_ce_ltor",
@@ -124,17 +124,6 @@ def structure_mutual_loss(model: TableModel, body_ids, img_feats, kl_refs=None):
     return parts, token_hidden, kl_refs
 
 
-def content_loss(logits: Tensor, targets) -> Tensor:
-    """Mean cross-entropy over non-PAD target positions (SEP and EOS count)."""
-    t = np.asarray(targets, dtype=np.int64)
-    keep = np.flatnonzero(t != V.CONTENT.pad)
-    if keep.size == 0:
-        return Tensor(np.asarray(0.0))
-    if keep.size == t.size:
-        return ad.cross_entropy(logits, t)
-    return ad.cross_entropy(ad.take_rows(logits, keep), t[keep])
-
-
 def bbox_loss(pred, truth) -> Tensor:
     """Mean absolute error over all 4n box components; 0 for empty tables."""
     truth = np.asarray(truth, dtype=np.float64).reshape(-1, 4)
@@ -180,7 +169,7 @@ def sample_loss(
     buf, layout = content_buffer([list(V.tokenize_content(c).ids) for c in record.cells])
     cond = model.cell_conditioning(refined, boxes_pred)
     logits = model.cell_step(buf, layout, cond, feats)
-    parts["content_ce"] = content_loss(logits, buf[1:] + [V.CONTENT.eos])
+    parts["content_ce"] = ad.cross_entropy(logits, buf[1:] + [V.CONTENT.eos])
 
     total = ad.add(
         ad.add(
@@ -277,42 +266,10 @@ class TrainConfig:
 
     @classmethod
     def from_fields(cls, raw) -> "TrainConfig":
-        """A validated config from JSON values.  As in ModelConfig.from_fields,
-        every number is read through its text by its field's type and a bad
-        value is named with its key; weights is an object of loss weights."""
-        kwargs = read_fields(cls, raw, "train config")
-        if "weights" in kwargs:
-            kwargs["weights"] = LossWeights(**read_fields(LossWeights, raw["weights"],
-                                                          "train config weights"))
-        cfg = cls(**kwargs)
+        """A validated config from JSON values (model.read_fields)."""
+        cfg = cls(**read_fields(cls, raw, "train config"))
         cfg.validate()
         return cfg
-
-
-def read_fields(cls, raw, where: str) -> dict:
-    """The field values of cls in a JSON object, each number read through its
-    text by the type of the field's default; `where` names the object."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} needs a JSON object, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {unknown}")
-    defaults, kwargs = cls(), dict(raw)
-    for key, v in raw.items():
-        like = getattr(defaults, key)
-        many = isinstance(like, tuple)
-        kind = type(like[0] if many else like)
-        if kind not in (int, float):  # an object, read on its own
-            continue
-        try:
-            if many and not isinstance(v, (list, tuple)):
-                raise ValueError
-            kwargs[key] = tuple(kind(str(x)) for x in v) if many else kind(str(v))
-        except ValueError:
-            need = "an integer" if kind is int else "a number"
-            need = f"a list, each item {need}" if many else need
-            raise ValueError(f"{where} key {key} needs {need}, got {v!r}") from None
-    return kwargs
 
 
 def lr_schedule(epochs: int, lrs=(1e-3, 1e-4, 1e-5), proportions=(25, 3, 2)) -> list[float]:

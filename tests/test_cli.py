@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tabmark
-from tabmark import cli, synth
+from tabmark import checkpoint, cli, synth
 from tabmark.bench import BenchMismatch
 
 TINY_CONFIG = {
@@ -199,7 +199,10 @@ class TestConfigPrecedence:
         "model, message",
         [
             ({"d": "abc"}, "config key d needs an integer, got 'abc'"),
-            ({"enc_channels": 5}, "enc_channels must be 3 positive channel counts, got (5,)"),
+            (
+                {"enc_channels": 5},
+                "config key enc_channels needs a list, each item an integer, got 5",
+            ),
             ({"window": None}, "config key window needs an integer, got None"),
         ],
     )
@@ -260,13 +263,29 @@ class TestGen:
         assert (out / "annotations.jsonl").read_text() == ""
         assert not list(out.glob("*.pgm"))
 
-    @pytest.mark.parametrize("count", [-1, True, 2.7, "abc", "3", None])
+    @pytest.mark.parametrize("count", [-1, True, 2.7, "abc", None])
     def test_bad_count_is_named(self, tmp_path, work, capsys, count):
         cfgfile = tmp_path / "gen.json"
         cfgfile.write_text(json.dumps({"gen": TINY_CONFIG["gen"] | {"count": count}}))
         out = tmp_path / "corpus"
         assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
         assert f"gen.count must be an integer >= 0, got {count!r}" in capsys.readouterr().err
+        assert not (out / "annotations.jsonl").exists()
+
+    def test_count_text_reads_as_its_number(self, tmp_path):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_text(json.dumps({"gen": TINY_CONFIG["gen"] | {"count": "3"}}))
+        out = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "config.json").read_text())["gen"]["count"] == 3
+        assert len((out / "annotations.jsonl").read_text().splitlines()) == 3
+
+    def test_key_given_twice_is_named(self, tmp_path, capsys):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_text('{"gen": {"count": 1, "count": 2}}')
+        out = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"{cfgfile}: config key 'count' given twice" in capsys.readouterr().err
         assert not (out / "annotations.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -405,6 +424,20 @@ class TestInfer:
         )
         assert code == cli.EXIT_DATA
         assert "config key d needs an integer, got '1x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["html.out.b", "bbox.out.b"])
+    def test_non_finite_weight_exits_data_error(self, tmp_path, work, capsys, name):
+        model = checkpoint.load(work["ckpt"])
+        model.params[name].data[0] = float("nan")
+        ckpt = tmp_path / "nan.ckpt"
+        checkpoint.save(str(ckpt), model)
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", work["corpus"], "--model", str(ckpt), "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert f"{ckpt}: tensor '{name}' holds a non-finite value" in capsys.readouterr().err
+        assert not (out / "predictions.jsonl").exists()
 
     def test_idempotent_and_parallel_flag_recorded(self, tmp_path, work):
         outs = []
@@ -558,7 +591,7 @@ class TestBench:
         args = ["bench", "--config", str(cfgfile), "--corpus", work["corpus"]]
         return cli.main(args + ["--model", work["ckpt"], "--out", str(tmp_path / "b")])
 
-    @pytest.mark.parametrize("samples", [-3, 0, True, "abc", "5", 2.5])
+    @pytest.mark.parametrize("samples", [-3, 0, True, "abc", 2.5])
     def test_bad_samples_value_is_named(self, tmp_path, work, capsys, samples):
         assert self.bench_with_samples(tmp_path, work, samples) == cli.EXIT_DATA
         err = capsys.readouterr().err
@@ -567,6 +600,16 @@ class TestBench:
     def test_samples_cuts_the_corpus(self, tmp_path, work, capsys):
         assert self.bench_with_samples(tmp_path, work, 3) == cli.EXIT_DATA
         assert "at least 20 samples, got 3" in capsys.readouterr().err
+
+    def test_samples_text_reads_as_its_number(self, tmp_path, work, capsys):
+        corpus = tmp_path / "six"
+        args = ["gen", "--config", work["cfg"], "--count", "6", "--out", str(corpus)]
+        assert cli.main(args) == cli.EXIT_OK
+        cfgfile = tmp_path / "bench.json"
+        cfgfile.write_text(json.dumps({"bench": {"samples": "5"}}))
+        args = ["bench", "--config", str(cfgfile), "--corpus", str(corpus), "--model", work["ckpt"]]
+        assert cli.main(args + ["--out", str(tmp_path / "b")]) == cli.EXIT_DATA
+        assert "at least 20 samples, got 5" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -4,10 +4,13 @@ ValueError, never another error, so the CLI exits 2 with a located message.
 Last, a fuzz over random small model configs holds the decode cache to the
 uncached reference."""
 
+import argparse
+import hashlib
 import json
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from tabmark import checkpoint, cli, synth
 from tabmark import vocab as V
 from tabmark.model import ModelConfig, TableModel
+from tabmark.synth import GenSpec
 from tabmark.training import LossWeights, TrainConfig
 from test_decoding import assert_cache_exact, content_ids, steer_to
 
@@ -132,6 +136,150 @@ def test_random_json_configs_give_a_config_or_a_value_error():
             made[cls] += 1
     # the ones that parse are valid: they made it through validate()
     assert made[ModelConfig] > 0 and made[TrainConfig] > 0
+
+
+def number_keys(cls, section: str) -> list:
+    """(section, key, default) for every number and tuple field of dataclass
+    cls, and for those of a dataclass field, under section.field."""
+    out = []
+    for f in fields(cls):
+        like = getattr(cls(), f.name)
+        if is_dataclass(like):
+            out += number_keys(type(like), f"{section}.{f.name}")
+        elif isinstance(like, (int, float, tuple)):
+            out.append((section, f.name, like))
+    return out
+
+
+# every number and tuple key of a JSON config, and the three run settings
+CONFIG_KEYS = (
+    number_keys(ModelConfig, "model") + number_keys(TrainConfig, "train")
+    + number_keys(GenSpec, "gen.spec")
+    + [("", "seed", 0), ("gen", "count", 0), ("bench", "samples", 0)]
+)
+BASE = {  # a valid config, every key of which the tests set in turn
+    "seed": 3,
+    "model": {f.name: getattr(TINY, f.name) for f in fields(ModelConfig)},
+    "train": {"epochs": 1, "batch_size": 1, "weights": {}},
+    "gen": {"preset": "wide", "count": 1, "spec": {"image_side": 32, "margin": 2}},
+    "bench": {"samples": 3},
+}
+# how a bad value of each section's keys is named, and the subcommand that reads it
+NAMED = {
+    "model": ("config key {key} needs", "train"),
+    "train": ("train config key {key} needs", "train"),
+    "train.weights": ("train config weights key {key} needs", "train"),
+    "gen.spec": ("gen.spec key {key} needs", "gen"),
+    "": ("{key} must be an integer", "gen"),
+    "gen": ("gen.{key} must be an integer", "gen"),
+    "bench": ("bench.{key} must be an integer", "bench"),
+}
+
+
+def key_id(entry) -> str:
+    section, key, _ = entry
+    return f"{section}.{key}" if section else key
+
+
+def with_value(section: str, key: str, value) -> dict:
+    """BASE as JSON, with section.key set to value."""
+    cfg = json.loads(json.dumps(BASE))
+    node = cfg
+    for part in filter(None, section.split(".")):
+        node = node[part]
+    node[key] = value
+    return cfg
+
+
+def read_config(tmp_path, cfg: dict):
+    """What a run reads from a config file, read as the subcommands read it,
+    or the message of the ValueError that stops it."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        run = cli.resolve(argparse.Namespace(config=str(path)))
+        train = cli.train_config(run)
+        return {
+            "": {"seed": run["seed"]},
+            "model": cli.model_config(run),
+            "train": train,
+            "train.weights": train.weights,
+            "gen.spec": cli.gen_spec(run),
+            "gen": {"count": cli.config_int(run["gen"]["count"], "gen.count", 0)},
+            "bench": {"samples": cli.config_int(run["bench"]["samples"], "bench.samples", 1)},
+        }
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("entry", CONFIG_KEYS, ids=key_id)
+def test_a_number_and_its_text_read_alike(tmp_path, entry):
+    # 3 and "3", 0.5 and "0.5", [1, 2] and "1,2" give the same config or the
+    # same error; so do the key's value in BASE and its text
+    section, key, like = entry
+    base = read_config(tmp_path, BASE)
+    read = base[section]
+    valid = read[key] if isinstance(read, dict) else getattr(read, key)
+    many = isinstance(like, tuple)
+    literal = [1, 2] if many else 0.5 if isinstance(like, float) else 3
+    for value in (literal, list(valid) if many else valid):
+        text = ",".join(str(x) for x in value) if many else str(value)
+        number = read_config(tmp_path, with_value(section, key, value))
+        assert read_config(tmp_path, with_value(section, key, text)) == number, (value, text)
+    assert number == base
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("keys")
+    synth.emit_corpus(1, synth.PRESETS["wide"], str(root / "corpus"), master_seed=0)
+    checkpoint.save(str(root / "model.ckpt"), TableModel(TINY))
+    return root
+
+
+@pytest.mark.parametrize("entry", CONFIG_KEYS, ids=key_id)
+def test_a_non_number_exits_2_naming_key_and_value(tmp_path, capsys, run_inputs, entry):
+    section, key, like = entry
+    named, command = NAMED[section]
+    argv = [command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]
+    if command != "gen":
+        argv += ["--corpus", str(run_inputs / "corpus")]
+    if command == "bench":
+        argv += ["--model", str(run_inputs / "model.ckpt")]
+    for value in (True, None, 2.7, "abc"):
+        if value == 2.7 and isinstance(like, float) or value is None and key == "samples":
+            continue  # a number; bench.samples null, its default, benches every record
+        (tmp_path / "c.json").write_text(json.dumps(with_value(section, key, value)))
+        assert cli.main(argv) == cli.EXIT_DATA, value
+        err = capsys.readouterr().err
+        assert named.format(key=key) in err and f"got {value!r}" in err, err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+def test_header_text_round_trips():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        cfg = replace(random_small_config(rng), image_side=int(rng.choice([8, 16, 64, 128])),
+                      enc_channels=tuple(int(c) for c in rng.integers(1, 65, size=3)))
+        assert ModelConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_an_earlier_tabmark1_file_loads_bitwise(tmp_path):
+    # written by checkpoint.save before ModelConfig.from_text read its header
+    # through read_fields; it loads to the same config, and saving it again
+    # gives the same bytes, so every weight loaded bitwise
+    path = Path(__file__).parent / "data" / "tabmark1_tiny.ckpt"
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "1af102295a2520dfec7aec82821dcf91c47178f81abcd52d35d6b28386949d6a"
+    )
+    model = checkpoint.load(str(path))
+    assert model.cfg == ModelConfig(
+        image_side=8, d=4, heads=1, ffn_mult=1, enc_channels=(1, 1, 1), window=5,
+        struct_cap=20, content_cap=30, variant="bbox", seed=7,
+    )
+    checkpoint.save(str(tmp_path / "again.ckpt"), model)
+    assert (tmp_path / "again.ckpt").read_bytes() == raw
 
 
 @pytest.mark.parametrize("section", [{"d": 10**20, "heads": 4}, {"struct_cap": 10**12}])

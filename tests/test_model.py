@@ -48,6 +48,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             M.ModelConfig.from_text("d=16\nbogus=3\n")
 
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="^config key window given twice$"):
+            M.ModelConfig.from_text("d=16\nheads=2\nwindow=300\nwindow=3\n")
+
     def test_grid_property(self):
         assert tiny_cfg().downsample == 8
         assert tiny_cfg().grid == 4
@@ -86,7 +90,7 @@ class TestModelConfig:
         [
             ("d=1x", "config key d needs an integer, got '1x'"),
             ("window=", "config key window needs an integer, got ''"),
-            ("enc_channels=4,x,16", "enc_channels needs comma-separated integers, got '4,x,16'"),
+            ("enc_channels=4,x,16", "enc_channels needs a list, each item an integer, got '4,x,16'"),
             ("enc_channels=4,8", r"3 positive channel counts, got \(4, 8\)"),
             ("enc_channels=0,8,16", r"3 positive channel counts, got \(0, 8, 16\)"),
             ("heads=0", "head count"),
@@ -97,8 +101,9 @@ class TestModelConfig:
         ],
     )
     def test_from_text_names_bad_values(self, line, match):
+        text = f"{line}\n" if line.startswith("d=") else f"d=16\n{line}\n"  # no key twice
         with pytest.raises(ValueError, match=match):
-            M.ModelConfig.from_text(f"d=16\n{line}\n")
+            M.ModelConfig.from_text(text)
 
     @pytest.mark.parametrize("key", list(M.ModelConfig.LIMITS))
     def test_upper_bounds_name_the_key(self, key):
