@@ -147,10 +147,9 @@ class ModelConfig:
 
 
 def read_fields(cls, raw, where: str) -> dict:
-    """The field values of dataclass cls in a JSON object, or in a checkpoint
-    header's text, each read by read_value; a dataclass field is an object,
-    read the same way.  A bad value is named with its key; `where` names the
-    object."""
+    """The field values of dataclass cls in a JSON object or a checkpoint
+    header, each read by read_value and a dataclass field as an object of its
+    own; a bad value is named with its key, and `where` names the object."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where} needs a JSON object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
@@ -170,12 +169,11 @@ def read_fields(cls, raw, where: str) -> dict:
 
 
 def read_value(like, v):
-    """One config value read by the type of `like`, its field's default: a
-    number takes a JSON number or its text; a tuple takes a JSON list or
-    comma-separated text, each item read as a number.  Any other value is
-    returned as given, for validate to judge.  Numbers are read through their
-    text, and str(True) is "True" and str(None) "None", so true, false and
-    null are never numbers.  A ValueError says what the value needs."""
+    """A config value read by the type of `like`, its field's default: a
+    number from a JSON number or its text (str(True) is "True" and str(None)
+    "None", so neither reads as one), a tuple from a JSON list or
+    comma-separated text, each item a number; any other value as given, for
+    validate to judge.  A ValueError says what the value needs."""
     many = isinstance(like, tuple)
     kind = type(like[0] if many else like)
     if kind not in (int, float):

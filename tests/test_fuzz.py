@@ -1,8 +1,10 @@
 """Seeded fuzz tests over untrusted inputs: damaged checkpoints, random JSON
 configs and random corpus annotations.  Each input must load or raise a
 ValueError, never another error, so the CLI exits 2 with a located message.
-Last, a fuzz over random small model configs holds the decode cache to the
-uncached reference."""
+A table over every number and list key of a JSON config holds them to one
+reading rule, and a TABMARK1 file written by an earlier version must keep
+loading bitwise.  Last, a fuzz over random small model configs holds the
+decode cache to the uncached reference."""
 
 import argparse
 import hashlib
@@ -265,9 +267,9 @@ def test_header_text_round_trips():
 
 
 def test_an_earlier_tabmark1_file_loads_bitwise(tmp_path):
-    # written by checkpoint.save before ModelConfig.from_text read its header
-    # through read_fields; it loads to the same config, and saving it again
-    # gives the same bytes, so every weight loaded bitwise
+    # kept as an earlier version of checkpoint.save wrote it, before the header
+    # was read through read_fields: it loads to the same config, and saving it
+    # again gives the same bytes, so every weight loaded bitwise
     path = Path(__file__).parent / "data" / "tabmark1_tiny.ckpt"
     raw = path.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == (
