@@ -265,6 +265,10 @@ class TestContentLoss:
         logits[np.arange(3), targets] = 25.0
         assert float(ad.cross_entropy(Tensor(logits), targets).data) < 1e-9
 
+    def test_uniform_is_log_vocab(self):
+        loss = ad.cross_entropy(Tensor(np.zeros((4, len(V.CONTENT)))), [1, 2, 3, 4])
+        assert float(loss.data) == pytest.approx(math.log(len(V.CONTENT)), abs=1e-9)
+
     def test_targets_hold_no_pad(self):
         assert V.CONTENT.pad not in V.tokenize_content("<pad>" + "".join(V.CONTENT.tokens)).ids
         for preset in ("wide", "dense"):
