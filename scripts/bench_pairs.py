@@ -16,7 +16,9 @@ each side's median and quartiles, the ratio of the medians (change over
 parent) and the number of pairs the change won.  A claimed metric is met when
 the change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range.  Every metric also gets the
-no-regression verdict under its BENCHMARK.json bound (see `verdict`).
+no-regression verdict under its BENCHMARK.json bound (see `verdict`).  The
+payload also gives each tree's `src/` line count (`src_lines`), so the net
+`src/` delta of the change is measured, not typed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ def run(tree: str, workload: str, seed: int) -> tuple[dict, dict]:
     lines = proc.stdout.splitlines()
     record = next(ln for ln in lines if ln.startswith(RECORD_PREFIX))
     return json.loads(lines[-1]), json.loads(record[len(RECORD_PREFIX):])
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under tree/src, as `wc -l` counts them."""
+    total = 0
+    for root, _dirs, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -138,6 +151,7 @@ def main() -> None:
         + (f" --claim {claimed['workload']} {claimed['metric']}" if claimed else "")
     )
     path = os.path.join(ROOT, f"BENCH_{ns.slug}.json")
+    lines = {"parent": src_lines(ns.parent), "change": src_lines(ns.change)}
     runs: dict[str, list[dict]] = {w: [] for w in ns.workloads}
     machine = None
     for w in ns.workloads:
@@ -159,6 +173,7 @@ def main() -> None:
             "what": ns.what,
             "command": command,
             "parent_commit": ns.parent_commit,
+            "src_lines": lines,
             "machine": machine,
             "inputs": "default ModelConfig (machine.model_config), untrained weights, "
                       "scripted structure and cell lengths",

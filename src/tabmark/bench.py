@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers as L
 from . import vocab as V
 from .decoding import RecognizeResult, recognize
 from .model import ZERO_FEAT, TableModel
@@ -25,13 +26,15 @@ class BenchMismatch(RuntimeError):
 def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
     """A cell_step stand-in that deterministically emits the given scripts.
 
-    For every buffer position the returned logits argmax to the next token of
-    the cell that position predicts (its conditioning cell), or SEP once the
-    script is exhausted, so parallel and sequential decoding both follow the
-    scripts exactly.  When a model is given, the real cell_step still runs
-    and its output is discarded: wall time stays honest while lengths are
-    controlled.  A decoded structure with more cells than there are scripts
-    raises ValueError; scripts past its cell count are not used.
+    For every row of a pass (the new rows, as cell_step takes them) the
+    returned logits argmax to the next token of the cell that row predicts
+    (its conditioning cell), or SEP once the script is exhausted, so both
+    schedules follow the scripts exactly.  SOS and SEP rows, known by their
+    mask cell, predict a first token.  When a model is given, the real
+    cell_step still runs on the same rows and its output is discarded: wall
+    time stays honest while lengths are controlled.  A decoded structure with
+    more cells than there are scripts raises ValueError; scripts past its
+    cell count are not used.
     """
     width = len(V.CONTENT)
     # table[c, j]: the token after the j-th token of cell c; SEP once past its end
@@ -49,8 +52,7 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
                 f"the structure has {n_cells} cells but there are {len(scripts)} scripts"
             )
         cell = layout.feat_index
-        boundary = layout.mask_cells >= n_cells
-        boundary[0] = True
+        boundary = (layout.mask_cells == L.SOS_CELL) | (layout.mask_cells >= n_cells)
         nxt = np.where(boundary, 0, np.minimum(layout.rel_pos + 1, longest))
         live = cell != ZERO_FEAT
         tokens = np.full(n, V.CONTENT.eos, dtype=np.int64)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +21,8 @@ from . import autodiff as ad
 from . import synth
 from . import vocab as V
 from .model import (
+    ZERO_FEAT,
+    BufferLayout,
     CellBox,
     DecodeCache,
     StructFeatures,
@@ -35,9 +36,9 @@ from .model import (
 class DecodeState:
     """Each cell's decoded tokens and whether it is frozen.
 
-    The content buffer is built from them (model.content_buffer): SOS +
-    (cell_0 + SEP) + ... + (cell_n-1 + SEP), so it holds that pattern by
-    construction.
+    They stand for the content buffer SOS + (cell_0 + SEP) + ... +
+    (cell_n-1 + SEP) (model.content_buffer), which a decode hands over whole
+    once, when empty, and after that only each pass's new tokens.
     """
 
     cells: list[list[int]]
@@ -63,13 +64,6 @@ class DecodeState:
     def freeze(self, cell: int) -> None:
         self.frozen[cell] = True
 
-    def read_position(self, cells) -> list[int]:
-        """The positions whose logits predict the given cells' next tokens:
-        the last token of each cell's segment, or the boundary before it
-        when empty."""
-        seps = list(accumulate(len(tokens) + 1 for tokens in self.cells))  # each cell's SEP
-        return [seps[k] - 1 for k in cells]
-
 
 @dataclass
 class HtmlDecode:
@@ -82,20 +76,23 @@ class HtmlDecode:
 def decode_html(model: TableModel, img_feats) -> HtmlDecode:
     """Greedy LtoR expansion from [SOS] until EOS or the structure cap.
 
-    Returns the emitted body plus the final pass's per-token hidden states
-    (what the fetcher consumes).  Without truncation the pass count is the
-    emitted length + 1 (one per token plus the EOS pass); on truncation it is
-    the emitted length, and one extra untimed forward aligns the features.
-    Every pass scores only the newest position (see DecodeCache).
+    Returns the emitted body plus its per-token hidden states (what the
+    fetcher consumes), one row kept from each pass, which scores and returns
+    only the newest position (see DecodeCache).  Without truncation the pass
+    count is the emitted length + 1 (one per token plus the EOS pass); on
+    truncation it is the emitted length, and one extra untimed forward
+    scores the last token.
     """
     memory = DecodeCache(img_feats)
     sv = V.STRUCTURE
     buf = [sv.sos]
+    rows = []  # the hidden row of every scored position, SOS first
     passes = 0
     truncated = False
     with ad.no_grad():
         while True:
             logits, hidden = model.html_step(buf, "ltor", memory)
+            rows.append(hidden.data)
             passes += 1
             token = int(np.argmax(logits.data[-1]))
             if token == sv.eos:
@@ -103,11 +100,10 @@ def decode_html(model: TableModel, img_feats) -> HtmlDecode:
             buf.append(token)
             if len(buf) >= model.cfg.struct_cap:
                 truncated = True
-                _, hidden = model.html_step(buf, "ltor", memory)
+                rows.append(model.html_step(buf, "ltor", memory)[1].data)
                 break
-        body = buf[1:]
-        token_hidden = ad.take_rows(hidden, np.arange(1, len(buf)))
-    sf = StructFeatures(token_hidden, V.iter_cells(body))
+    body = buf[1:]
+    sf = StructFeatures(ad.Tensor(np.concatenate(rows)[1:]), V.iter_cells(body))
     return HtmlDecode(V.TokenSeq("structure", tuple(body)), sf, passes, truncated)
 
 
@@ -136,15 +132,15 @@ def decode_cells_sequential(model: TableModel, cond, img_feats, step_fn=None) ->
 def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -> CellDecode:
     """The cell-decode loop of both schedules.
 
-    Each pass scores the whole buffer once; every advancing cell's next token
-    is read at the position before its trailing SEP and (argmax, lowest id on
-    ties) either appended to the cell or, when it is a stop token, freezes
-    it.  All reads use the pass-start logits, taken in one argmax over the
-    read rows.  A pass that would take the buffer past content_cap is not
-    run: the decode stops, truncated, with every open cell as it is.  The
-    first pass scores the initial buffer under the dense cell-wise mask;
-    every later pass scores only the positions added since the last one,
-    each against its own cell's gathered keys (see DecodeCache).
+    The first pass hands the step the initial buffer, SOS and one SEP per
+    cell, scored under the dense cell-wise mask; every later pass only the
+    rows added since, one per cell that grew, in cell order, each scored
+    against its own cell's gathered keys (see DecodeCache).  The step
+    returns one logits row per row.  Each cell's next token is the argmax
+    (lowest id on ties) of its latest row, the one conditioned on it; every
+    advancing cell's next token is appended to it or, when it is a stop
+    token, freezes it.  A pass that would take the buffer past content_cap
+    is not run: the decode stops, truncated, with every open cell as it is.
     """
     n = cond.shape[0]
     if n == 0:
@@ -153,6 +149,9 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
     cap = model.cfg.content_cap
     state = DecodeState.initial(n)
     memory = DecodeCache(img_feats)
+    ids, layout = content_buffer(state.cells)
+    size = len(ids)  # of the whole buffer
+    nxt = np.zeros(n, dtype=np.int64)  # each cell's next token
     passes = 0
     truncated = False
     with ad.no_grad():
@@ -161,18 +160,24 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
             active = open_cells if parallel else open_cells[:1]
             if not active:
                 break
-            buffer, layout = content_buffer(state.cells)
-            if len(buffer) + len(active) > cap:
+            if size + len(active) > cap:
                 truncated = True
                 break
-            logits = ad.as_tensor(step(buffer, layout, cond, memory)).data
+            logits = ad.as_tensor(step(ids, layout, cond, memory)).data
             passes += 1
-            tokens = logits[state.read_position(active)].argmax(axis=1).tolist()
-            for k, token in zip(active, tokens):
+            live = layout.feat_index != ZERO_FEAT
+            nxt[layout.feat_index[live]] = logits[live].argmax(axis=1)
+            for k, token in zip(active, nxt[active].tolist()):
                 if token in _CELL_STOP:
                     state.freeze(k)
                 else:
                     state.insert(k, token)
+            grown = [k for k in active if not state.frozen[k]]
+            ids = [state.cells[k][-1] for k in grown]
+            at = np.array(grown, dtype=np.int64)
+            rel = np.array([len(state.cells[k]) - 1 for k in grown], dtype=np.int64)
+            layout = BufferLayout(at, at, rel)
+            size += len(grown)
     cells = [V.TokenSeq("content", tuple(tokens)) for tokens in state.cells]
     return CellDecode(cells, passes, truncated)
 

@@ -17,16 +17,18 @@ decoding; content_buffer is the one place that writes them):
 Incremental decoding (DecodeCache): both steps accept, in place of the image
 memory, a cache that holds the memory's cross-attention keys and values
 (projected once per image) and, for every position already scored, each
-block's self-attention keys and values and the output rows.  A step then
-computes only the positions the cache has not scored.  The rules above make
-this exact: a structure row depends only on its prefix within the causal
-window, so the held rows are a prefix and a pass attends to the slice of
-held keys inside the window; a cell row depends only on SOS and the earlier
-tokens of its own cell, so rows are keyed by (mask cell, relative position)
-and never change as other cells grow, and a new cell row attends only to
-those keys, gathered per row.  A plain memory Tensor is the no-cache
-reference path: a full pass under the dense mask (build_local_mask,
-build_cellwise_mask), as in training, which keeps no rows.
+block's self-attention keys and values.  A cached step computes and returns
+only the positions the cache has not scored.  The rules above make this
+exact: a structure row depends only on its prefix within the causal window,
+so the held rows are a prefix and a pass attends to the slice of held keys
+inside the window; a cell row depends only on SOS and the earlier tokens of
+its own cell, so rows are keyed by (mask cell, relative position) and never
+change as other cells grow, and a new cell row attends only to those keys,
+gathered per row.  html_step takes the whole prefix, whose held tokens the
+cache checks; cell_step takes only the new rows, because a pass grows cells
+all over the buffer and the decode knows which rows it added.  A plain
+memory Tensor is the no-cache reference path: a full pass under the dense
+mask (build_local_mask, build_cellwise_mask), as in training, which keeps no rows.
 """
 
 from __future__ import annotations
@@ -170,20 +172,27 @@ def read_fields(cls, raw, where: str) -> dict:
 
 def read_value(like, v):
     """A config value read by the type of `like`, its field's default: a
-    number from a JSON number or its text (str(True) is "True" and str(None)
-    "None", so neither reads as one), a tuple from a JSON list or
+    number from a JSON number or its decimal text (str(True) is "True" and
+    str(None) "None", so neither reads as one), a tuple from a JSON list or
     comma-separated text, each item a number; any other value as given, for
     validate to judge.  A ValueError says what the value needs."""
     many = isinstance(like, tuple)
     kind = type(like[0] if many else like)
     if kind not in (int, float):
         return v
+
+    def number(x):  # int() and float() also take "1_0", " 7 " and non-ASCII digits
+        text = str(x)
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(text)
+        return kind(text)
+
     items = v.split(",") if many and isinstance(v, str) else v
     try:
         if not many:
-            return kind(str(v))
+            return number(v)
         if isinstance(items, (list, tuple)):
-            return tuple(kind(str(x)) for x in items)
+            return tuple(number(x) for x in items)
     except ValueError:
         pass
     need = "an integer" if kind is int else "a number"
@@ -357,9 +366,10 @@ class TableModel:
     def html_step(self, input_ids, direction: str, img_feats):
         """One pass of the structure decoder.
 
-        input_ids starts with SOS; returns (logits, hidden), both length-aligned
-        with the input.  img_feats is the image memory or a DecodeCache of it;
-        only the positions the cache has not scored yet are computed.
+        input_ids starts with SOS.  img_feats is the image memory or a
+        DecodeCache of it.  With the memory it returns (logits, hidden), both
+        length-aligned with the input; with a cache it scores and returns only
+        the positions the cache has not scored yet, in order.
 
         direction "both" runs the two students of training as one pass:
         input_ids is the LtoR student's input followed by the RtoL student's,
@@ -385,10 +395,8 @@ class TableModel:
         if cache is None:  # a full pass
             new, first, memory = np.arange(ids.shape[0]), 0, img_feats
         else:
-            new, first = cache.begin_structure(
-                direction, ids, self.cfg.window, len(self.html_blocks)
-            )
-            memory = cache.memory
+            first = cache.begin_structure(direction, ids, self.cfg.window, len(self.html_blocks))
+            new, memory = np.arange(cache.held, n), cache.memory
         emb = ad.take_rows(self.struct_emb, ids[new])
         if cache is not None and cache.dir_vecs is not None:  # one direction per cache
             dir_vecs = cache.dir_vecs
@@ -411,7 +419,9 @@ class TableModel:
             x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
         hidden = self.html_norm(x)
         logits = self.struct_out(hidden)
-        return (logits, hidden) if cache is None else cache.finish(logits, hidden)
+        if cache is not None:
+            cache.finish(new.size)
+        return logits, hidden
 
     def fetch_cells(self, struct: StructFeatures) -> Tensor:
         """One feature per cell, taken at the anchors, reading order; (n, d)."""
@@ -443,45 +453,48 @@ class TableModel:
         return refined
 
     def cell_step(self, input_ids, layout: BufferLayout, cond: Tensor, img_feats):
-        """One pass of the content decoder over a full buffer; logits per position.
+        """One pass of the content decoder; one logits row per given row.
 
-        img_feats is the image memory or a DecodeCache of it; only the
-        positions the cache has not scored yet are computed.  A full pass
-        (the memory, or a cache's first pass) uses the dense cell-wise mask;
-        a later cached pass attends through each new row's gathered keys.
+        With the image memory, input_ids and layout are a full buffer, scored
+        under the dense cell-wise mask.  With a DecodeCache of it they are
+        only the rows the cache has not scored: the first pass a full buffer,
+        scored the same way, each later pass the rows added since, each
+        attending through its own cell's gathered keys.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
-        n = ids.shape[0]
+        cache = img_feats if isinstance(img_feats, DecodeCache) else None
+        n = ids.shape[0] + (cache.held if cache else 0)
         if n > self.cfg.content_cap:
             raise ValueError(f"content input length {n} exceeds cap {self.cfg.content_cap}")
-        if len(layout) != n:
+        if len(layout) != ids.shape[0]:
             raise ValueError("layout length does not match the buffer")
         n_cells = cond.shape[0]
         if np.any(layout.feat_index >= n_cells):
             raise ValueError("layout references a cell with no feature")
-        cache = img_feats if isinstance(img_feats, DecodeCache) else None
         if cache is None:  # a full pass
-            new, mask, memory = np.arange(n), None, img_feats
+            mask, memory = None, img_feats
         else:
-            new, mask = cache.begin_cells(
-                ids, layout, self.cfg.window, len(self.cell_blocks), ad.as_tensor(cond).data
+            mask = cache.begin_cells(
+                layout, self.cfg.window, len(self.cell_blocks), ad.as_tensor(cond).data
             )
             memory = cache.memory
         if mask is None:  # every position is scored: the dense cell-wise mask
             mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)
-        emb = ad.take_rows(self.content_emb, ids[new])
+        emb = ad.take_rows(self.content_emb, ids)
         feats_aug = ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))])
-        feat_rows = layout.feat_index[new]
+        feat_rows = layout.feat_index
         feats = ad.take_rows(feats_aug, np.where(feat_rows == ZERO_FEAT, n_cells, feat_rows))
         x = ad.add(
             ad.add(ad.matmul(emb, self.cell_mix_tok), ad.matmul(feats, self.cell_mix_feat)),
             self.cell_mix_b,
         )
-        x = ad.add(x, self.pos_codes(layout.rel_pos[new]))
+        x = ad.add(x, self.pos_codes(layout.rel_pos))
         for i, blk in enumerate(self.cell_blocks):
             x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
         logits = self.content_out(self.cell_norm(x))
-        return logits if cache is None else cache.finish(logits)[0]
+        if cache is not None:
+            cache.finish(ids.shape[0])
+        return logits
 
 
 class _MemoryKeys:
@@ -523,17 +536,15 @@ class _SelfKeys:
     """One self-attention block's keys and values of the held rows, in the
     order they were scored.  A pass writes its new rows after the held ones
     and attends to the key rows in `order`, which the cache sets; the cache
-    commits them when the pass ends."""
+    holds them when the pass ends."""
 
     def __init__(self):
         self.k = self.v = None  # (heads, capacity, dh); rows [0, size) are held
         self.size = 0
-        self.new = 0  # rows written by the current pass
         self.order = None  # key rows of the current pass; None: only the new rows
 
     def __call__(self, new_rows, project):
         k, v = project(new_rows)
-        self.new = k.shape[1]
         self.k = _append(self.k, self.size, k.data, axis=1)
         self.v = _append(self.v, self.size, v.data, axis=1)
         if self.order is None:  # nothing held: the new rows are all the keys, in order
@@ -542,10 +553,6 @@ class _SelfKeys:
             return Tensor(self.k[:, self.order]), Tensor(self.v[:, self.order])
         return tuple(Tensor(np.take(a, self.order, axis=1)) for a in (self.k, self.v))
 
-    def commit(self) -> None:
-        self.size += self.new
-        self.new = 0
-
 
 class DecodeCache:
     """What one decode has computed, so that each position is scored once.
@@ -553,28 +560,29 @@ class DecodeCache:
     html_step and cell_step take it where they take the image memory.  It
     holds each cross-attention block's memory keys and values, projected once,
     a structure decode's direction vectors, mixed once,
-    and for every scored position each block's self-attention keys and values
-    and the step's output rows (hidden and logits), in buffers that grow by
-    doubling.  A step computes only the positions it has not scored, with a
-    fixed number of NumPy calls over those rows.  This is exact because no
-    scored row can change as the buffer grows:
+    and for every scored position each block's self-attention keys and
+    values, in buffers that grow by doubling.  A step computes and returns
+    only the positions it has not scored, with a fixed number of NumPy calls
+    over those rows.  This is exact because no scored row can change as the
+    buffer grows:
 
     - a structure row sees only its prefix within the window, so the held
-      rows are a prefix of the buffer and the new rows are the rest.  Every
-      held key is kept, and a pass attends to the slice of them that its
-      first new row can see (a single new row sees that whole slice, so
-      html_step gives it no mask);
+      rows are a prefix of the buffer, whose tokens must be the ones scored,
+      and the new rows are the rest.  Every held key is kept, and a pass
+      attends to the slice of them that its first new row can see (a single
+      new row sees that whole slice, so html_step gives it no mask);
     - a cell row sees only SOS and the earlier tokens of its own cell within
-      the window, with its position counted from the cell boundary, so rows
-      are found through a (mask cell, relative position) -> row table.  A
-      new cell row attends to a gathered key list, SOS plus its own cell's
-      rows inside the window, padded to the longest list of the pass and
-      masked, as one grouped attention call: no score is computed for
-      another cell.
+      the window, with its position counted from the cell boundary, so
+      cell_step takes only the new rows, entered in a (mask cell + 1,
+      relative position) -> row table.  A new cell row attends to a gathered
+      key list, SOS plus its own cell's rows inside the window, padded to the
+      longest list of the pass and masked, as one grouped attention call: no
+      score is computed for another cell.
 
     The first pass scores every position under the dense mask, as a plain
     memory Tensor does: that is the no-cache reference path, which keeps no
-    rows at all.  A buffer that does not extend the scored one raises
+    rows at all.  A structure prefix that does not extend the scored one,
+    and a cell row that is held or whose cell's earlier row is not, raise
     ValueError.
     """
 
@@ -583,14 +591,11 @@ class DecodeCache:
         self.owner = None  # what the held rows were scored for
         self.cond = None
         self.held = 0  # rows scored so far
-        self.tokens = np.zeros(0, dtype=np.int64)  # token per row, rows [0, held)
-        self.outs: list[np.ndarray] = []  # step outputs per row, rows [0, held)
+        self.tokens = np.zeros(0, dtype=np.int64)  # structure: token per row, rows [0, held)
         self.table = np.full((0, 0), -1, dtype=np.int64)  # cells: (mask cell+1, rel) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
         self.dir_vecs = None  # structure: html_step's direction vectors, set on the first pass
-        self.rows = None  # row per buffer position of the current pass
-        self.pending = None  # the new rows' tokens and, for cells, table keys
 
     def _claim(self, owner, n_blocks: int, cond=None) -> None:
         if ad.grad_enabled():
@@ -605,96 +610,78 @@ class DecodeCache:
         elif cond is not None and not np.array_equal(cond, self.cond):
             raise ValueError("cache holds rows scored for another conditioning")
 
-    @staticmethod
-    def _check_tokens(got: np.ndarray, want: np.ndarray, positions=None) -> None:
-        """Raise at the first buffer position whose token differs from the
-        one its held row was scored for."""
-        bad = np.flatnonzero(got != want)
-        if bad.size:
-            b = bad[0]
-            p = b if positions is None else positions[b]
-            raise ValueError(f"position {p} holds token {got[b]}, scored as {want[b]}")
+    def begin_structure(self, direction: str, ids: np.ndarray, window: int, n_blocks: int) -> int:
+        """Check a structure buffer against the held rows, a prefix of it.
 
-    def begin_structure(self, direction: str, ids: np.ndarray, window: int, n_blocks: int):
-        """Match a structure buffer against the held rows, a prefix of it.
-
-        Returns the positions to score and the first position they attend to:
-        the oldest one the first new row sees within the window.
+        The positions from `held` on are new.  Returns the first position
+        they attend to: the oldest one the first new row sees within the window.
         """
         self._claim(("structure", direction), n_blocks)
         held, n = self.held, ids.shape[0]
         if n < held:
             raise ValueError(f"buffer keeps {n} of the {held} scored positions")
-        if held:
-            self._check_tokens(ids[:held], self.tokens[:held])
-        self.rows = np.arange(n)
-        self.pending = (ids[held:], None)
+        bad = np.flatnonzero(ids[:held] != self.tokens[:held])
+        if bad.size:
+            p = bad[0]
+            raise ValueError(f"position {p} holds token {ids[p]}, scored as {self.tokens[p]}")
+        self.tokens = _append(self.tokens, held, ids[held:])
         first = max(held - window, 0)
         for sk in self.self_keys:
             sk.order = slice(first, n) if held else None
-        return self.rows[held:], first
+        return first
 
-    def begin_cells(self, ids: np.ndarray, layout, window: int, n_blocks: int, cond):
-        """Match a content buffer against the held rows through the table.
+    def begin_cells(self, layout, window: int, n_blocks: int, cond):
+        """Enter a pass's new cell rows in the table, after the held ones.
 
-        Returns the positions to score and their mask: None when nothing is
-        held (the caller builds the dense one), else a (G, 1, L) mask over
-        each new row's gathered keys, which the self-key stores are set to.
+        Returns their mask: None when nothing is held (the caller builds the
+        dense one), else a (G, 1, L) mask over each new row's gathered keys,
+        which the self-key stores are set to.
         """
         self._claim(("cell", cond.shape[0]), n_blocks, cond)
-        key = (layout.mask_cells + 1, layout.rel_pos)
-        shape = (int(key[0].max()) + 1, int(key[1].max()) + 1)
+        cell, rel = layout.mask_cells + 1, layout.rel_pos
+        shape = (int(cell.max(initial=0)) + 1, int(rel.max(initial=0)) + 1)
         if shape[0] > self.table.shape[0] or shape[1] > self.table.shape[1]:
             grown = np.full(np.maximum(shape, self.table.shape) * (1, 2), -1, dtype=np.int64)
             grown[: self.table.shape[0], : self.table.shape[1]] = self.table
             self.table = grown
-        rows = self.table[key]
-        seen = np.flatnonzero(rows >= 0)
-        if seen.size != self.held:
-            raise ValueError(f"buffer keeps {seen.size} of the {self.held} scored positions")
-        self._check_tokens(ids[seen], self.tokens[rows[seen]], seen)
-        new = np.flatnonzero(rows < 0)
-        rows[new] = np.arange(self.held, self.held + new.size)
-        self.rows = rows
-        self.pending = (ids[new], (key[0][new], key[1][new]))
+        table, rows = self.table, np.arange(self.held, self.held + rel.shape[0])
+        old = table[cell, rel]
+        table[cell, rel] = rows
+        # a new row is not held or given twice, and SOS and its cell's earlier
+        # row are held or new: by induction, no gather reads an unscored row
+        follows = (rel == 0) | (table[cell, np.maximum(rel - 1, 0)] >= 0)
+        bad = np.flatnonzero((old >= 0) | (table[cell, rel] != rows) | ~follows | (table[0, 0] < 0))
+        if bad.size:
+            table[cell, rel] = old
+            r = bad[0]
+            why = "is scored already" if old[r] >= 0 else "is given twice or follows no scored row"
+            raise ValueError(f"row {r} (cell {cell[r] - 1}, position {rel[r]}) {why}")
         if not self.held:
             for sk in self.self_keys:
                 sk.order = None
-            return new, None
+            return None
         # a new row of cell c at relative position r sees SOS (column 0) and
-        # the positions p - own + 1 .. p of its own cell, own = min(r, window) + 1
-        if new.size:
-            own = np.minimum(layout.rel_pos[new], window) + 1
-            own[layout.mask_cells[new] == L.SOS_CELL] = 0  # SOS is column 0 already
+        # its cell's positions r - own + 1 .. r, own = min(r, window) + 1
+        if rows.size:
+            own = np.minimum(rel, window) + 1
             cols = np.arange(1 + own.max())
             visible = (cols >= 1) & (cols <= own[:, None])
-            gather = rows[np.where(visible, (new - own)[:, None] + cols, 0)]  # padding: SOS
+            at = np.where(visible, (rel - own)[:, None] + cols, 0)
+            gather = table[np.where(visible, cell[:, None], 0), at]  # padding: SOS
             visible[:, 0] = True
             mask = np.where(visible, 0.0, NEG_INF)[:, None, :]
         else:  # nothing to score: one key keeps the attention shapes valid
-            gather, mask = rows[:1], np.zeros((0, 1))
+            gather, mask = table[0, :1], np.zeros((0, 1))
         for sk in self.self_keys:
             sk.order = gather.ravel()
-        return new, mask
+        return mask
 
     def past(self, block: int):
         """The key stores of one block, for DecoderBlock(past=...)."""
         return self.self_keys[block], self.memory_keys[block]
 
-    def finish(self, *outs: Tensor) -> tuple[Tensor, ...]:
-        """Hold the new rows of each output; return the outputs at full
-        buffer length, newly allocated, in buffer order."""
-        held, (tokens, keys) = self.held, self.pending
-        end = held + tokens.shape[0]
-        if keys is not None:
-            self.table[keys] = np.arange(held, end)
-        self.tokens = _append(self.tokens, held, tokens)
-        if not held:
-            self.outs = [None] * len(outs)
-        self.outs = [_append(buf, held, o.data) for buf, o in zip(self.outs, outs)]
-        self.held = end
+    def finish(self, new: int) -> None:
+        """Hold the pass's new rows: scored, they are never computed again."""
+        self.held += new
         for sk in self.self_keys:
-            sk.commit()
-        if not held:  # the new rows are the whole buffer, in order
-            return outs
-        return tuple(Tensor(np.take(buf, self.rows, axis=0)) for buf in self.outs)
+            sk.size = self.held

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tabmark import layers as L
 from tabmark import synth
 from tabmark import vocab as V
 from tabmark.bench import BenchMismatch, BenchReport, make_scripted_step, run_bench, verify_sample
@@ -57,8 +58,8 @@ def fake_result(cells, passes, parallel, truncated=False):
 
 
 def looped_scripted_logits(scripts, buffer, layout):
-    """The scripted logits built position by position: the reference for
-    make_scripted_step."""
+    """The scripted logits built row by row: the reference for
+    make_scripted_step, which is handed a pass's new rows."""
     n_cells = len(scripts)
     logits = np.zeros((len(buffer), len(V.CONTENT)))
     for p in range(len(buffer)):
@@ -66,7 +67,7 @@ def looped_scripted_logits(scripts, buffer, layout):
         if cell == ZERO_FEAT:
             logits[p, V.CONTENT.eos] = 1.0
             continue
-        boundary = p == 0 or layout.mask_cells[p] >= n_cells
+        boundary = layout.mask_cells[p] == L.SOS_CELL or layout.mask_cells[p] >= n_cells
         nxt = 0 if boundary else int(layout.rel_pos[p]) + 1
         script = scripts[cell]
         logits[p, script[nxt] if nxt < len(script) else V.SEP_ID] = 1.0
@@ -161,10 +162,12 @@ class TestRunBench:
     def test_mismatching_decoder_fails_loudly(self):
         # buffer-length-dependent emissions diverge between the schedules
         m = forced_cells_model(2)
+        sizes = {}  # per decode's cache: the buffer length, summed over the rows handed over
 
         def step(buffer, layout, cond, img_feats):
+            size = sizes[img_feats] = sizes.get(img_feats, 0) + len(buffer)
             logits = np.zeros((len(buffer), len(V.CONTENT)))
-            token = 6 if len(buffer) < 5 else V.SEP_ID
+            token = 6 if size < 5 else V.SEP_ID
             logits[:, token] = 1.0
             return logits
 

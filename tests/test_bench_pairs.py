@@ -139,3 +139,27 @@ def test_claimed_metric_is_written(monkeypatch, tmp_path):
     assert out["claimed"] == {"workload": "recognize_dense", "metric": "setup_s"}
     assert out["command"].endswith("--claim recognize_dense setup_s")
     assert out["summary"]["recognize_dense"]["pairs"] == 2
+
+
+def test_src_line_counts_are_written(monkeypatch, tmp_path):
+    """Each tree's src/ line count, Python files only, nested ones too."""
+    for tree, files in (("parent", {"a.py": 3, "pkg/b.py": 4, "notes.txt": 9}),
+                        ("change", {"a.py": 2, "pkg/b.py": 4})):
+        for name, n in files.items():
+            path = tmp_path / tree / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x\n" * n, encoding="utf-8")
+    assert bench_pairs.src_lines(str(tmp_path / "parent")) == 7
+    assert bench_pairs.src_lines(str(tmp_path / "nowhere")) == 0
+
+    def fake_run(tree, workload, seed):
+        metrics = {m["name"]: {"value": 1.0 + seed / 100} for m in SPEC["end_to_end"]}
+        record = {k: None for k in bench_pairs.MACHINE_KEYS}
+        return {"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}, record
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    main(monkeypatch, "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--pairs", "2", "--workloads", "recognize_wide", run=fake_run)
+    out = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert out["src_lines"] == {"parent": 7, "change": 6}

@@ -248,7 +248,7 @@ def test_a_non_number_exits_2_naming_key_and_value(tmp_path, capsys, run_inputs,
         argv += ["--corpus", str(run_inputs / "corpus")]
     if command == "bench":
         argv += ["--model", str(run_inputs / "model.ckpt")]
-    for value in (True, None, 2.7, "abc"):
+    for value in (True, None, 2.7, "abc", "1_0", " 7 ", "\u0663"):
         if value == 2.7 and isinstance(like, float) or value is None and key == "samples":
             continue  # a number; bench.samples null, its default, benches every record
         (tmp_path / "c.json").write_text(json.dumps(with_value(section, key, value)))

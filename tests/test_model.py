@@ -137,6 +137,16 @@ class TestCellBox:
         assert out[0] == M.CellBox(1.0, 0.0, 0.5, 0.5)
 
 
+def grown_rows(cells, before) -> tuple[list[int], M.BufferLayout]:
+    """The rows a cached cell decode hands over when each cell k has grown
+    from before[k] tokens to all of cells[k]: each row's token, and its
+    layout (mask cell k, feature k, relative position), in cell order."""
+    at = [(k, r) for k, cell in enumerate(cells) for r in range(before[k], len(cell))]
+    k = np.array([k for k, _ in at], dtype=np.int64)
+    rel = np.array([r for _, r in at], dtype=np.int64)
+    return [cells[k][r] for k, r in at], M.BufferLayout(k, k.copy(), rel)
+
+
 def loop_layout(ids, n_cells: int) -> M.BufferLayout:
     """The layout of a content buffer, parsed back from its SEPs in a loop
     over positions: the reference content_buffer's layout must equal."""
@@ -581,18 +591,20 @@ def fused_layer_outputs(model: M.TableModel, rec: synth.TableRecord) -> dict:
         ids = [V.STRUCTURE.sos] + list(rec.structure_ids)
         out["html"], out["hidden"] = (t.data for t in model.html_step(ids, "ltor", feats))
         cache = M.DecodeCache(feats)
-        for k in range(1, len(ids) + 1):  # one new row per pass, as decoding does
-            logits, hidden = model.html_step(ids[:k], "ltor", cache)
-        out["html cached"], out["hidden cached"] = logits.data, hidden.data
+        rows = []  # one new row per pass, as decoding does
+        for k in range(1, len(ids) + 1):
+            rows.append([t.data for t in model.html_step(ids[:k], "ltor", cache)])
+        out["html cached"], out["hidden cached"] = (np.concatenate(r) for r in zip(*rows))
 
         cells = [content_ids(c) for c in rec.cells]
         cond = Tensor(np.random.default_rng(len(cells)).normal(size=(len(cells), cfg.d)))
         cache = M.DecodeCache(feats)
-        for t in range(max(map(len, cells)) + 1):  # every cell grows by a token per pass
-            buf, layout = M.content_buffer([c[:t] for c in cells])
-            logits = model.cell_step(buf, layout, cond, cache)
-        out["cell cached"] = logits.data
-        out["cell"] = model.cell_step(buf, layout, cond, feats).data
+        rows = [model.cell_step(*M.content_buffer([[] for _ in cells]), cond, cache).data]
+        for t in range(1, max(map(len, cells)) + 1):  # every cell grows by a token per pass
+            new = grown_rows([c[:t] for c in cells], [min(len(c), t - 1) for c in cells])
+            rows.append(model.cell_step(*new, cond, cache).data)
+        out["cell cached"] = np.concatenate(rows)
+        out["cell"] = model.cell_step(*M.content_buffer(cells), cond, feats).data
     return out
 
 
