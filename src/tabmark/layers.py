@@ -48,22 +48,14 @@ def pos_grid_2d(h: int, w: int, d: int) -> np.ndarray:
     return pos_encode_2d(rows, cols, d)
 
 
-def build_local_mask(n: int, w: int, rows=None, first: int = 0) -> np.ndarray:
-    """Causal sliding window: M_ij = 0 iff 0 <= i-j <= w.
-
-    Builds the rows `rows` (default: all n) and the columns first..n-1 of the
-    n x n mask, so a pass pays only for the rows it scores.  Every position
-    sees itself, so only a row before first can see no column: that raises
-    ValueError, once per built mask rather than on every attention call.
-    """
+def build_local_mask(n: int, w: int) -> np.ndarray:
+    """Causal sliding window over n positions: M_ij = 0 iff 0 <= i-j <= w."""
     if n < 1:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    i = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    if i.size and i.min() < first:
-        raise ValueError(f"mask row {i.min()} sees no key at or after column {first}")
-    diff = i[:, None] - np.arange(first, n)[None, :]
+    i = np.arange(n)
+    diff = i[:, None] - i[None, :]
     return np.where((diff >= 0) & (diff <= w), 0.0, NEG_INF)
 
 

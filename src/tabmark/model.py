@@ -16,19 +16,20 @@ decoding; content_buffer is the one place that writes them):
 
 Incremental decoding (DecodeCache): both steps accept, in place of the image
 memory, a cache that holds the memory's cross-attention keys and values
-(projected once per image) and, for every position already scored, each
-block's self-attention keys and values.  A cached step computes and returns
-only the positions the cache has not scored.  The rules above make this
-exact: a structure row depends only on its prefix within the causal window,
-so the held rows are a prefix and a pass attends to the slice of held keys
-inside the window; a cell row depends only on SOS and the earlier tokens of
-its own cell, so rows are keyed by (mask cell, relative position) and never
-change as other cells grow, and a new cell row attends only to those keys,
-gathered per row.  html_step takes the whole prefix, whose held tokens the
-cache checks; cell_step takes only the new rows, because a pass grows cells
-all over the buffer and the decode knows which rows it added.  A plain
-memory Tensor is the no-cache reference path: a full pass under the dense
-mask (build_local_mask, build_cellwise_mask), as in training, which keeps no rows.
+(projected once per image), the step's mixed conditioning table, and for
+every row already scored each block's self-attention keys and values.  A
+cached step computes and returns only the rows the cache has not scored.
+Every row is keyed by (sequence, position) and sees the rows of its own
+sequence within the window, (s, max(0, p - window)) .. (s, p), plus, for
+s >= 1, the shared root (0, 0).  A structure decode is sequence 0; a cell
+decode has SOS at the root, cell k as sequence k + 1 and its SEP as sequence
+n + k + 1, so the rules above are this one rule, and no scored row changes
+as the buffer grows.  html_step takes the whole prefix, whose held tokens
+the cache checks; cell_step takes only the new rows, because a pass grows
+cells all over the buffer and the decode knows which rows it added.  A
+plain memory Tensor is the no-cache reference path: a full pass under the
+dense mask (build_local_mask, build_cellwise_mask), as in training, which
+keeps no rows.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ class ModelConfig:
                 "d must be a positive multiple of 4 and of the head count (>= 1), "
                 f"got d={self.d}, heads={self.heads}"
             )
-        if self.struct_cap < 1 or self.content_cap < 1:
-            raise ValueError("length caps must be >= 1")
+        if self.struct_cap < 2:  # the buffer starts with SOS: a cap of 1 holds no token
+            raise ValueError(f"struct_cap must be >= 2, got {self.struct_cap}")
+        if self.content_cap < 1:
+            raise ValueError(f"content_cap must be >= 1, got {self.content_cap}")
         if self.window < 0 or self.ffn_mult < 1:
             raise ValueError(
                 f"need window >= 0 and ffn_mult >= 1, got {self.window} and {self.ffn_mult}"
@@ -369,7 +372,10 @@ class TableModel:
         input_ids starts with SOS.  img_feats is the image memory or a
         DecodeCache of it.  With the memory it returns (logits, hidden), both
         length-aligned with the input; with a cache it scores and returns only
-        the positions the cache has not scored yet, in order.
+        the positions the cache has not scored yet, in order.  It takes the
+        whole prefix even so: the decode appends one token a pass, and the
+        prefix lets the step check that the held positions still hold the
+        tokens they were scored for.
 
         direction "both" runs the two students of training as one pass:
         input_ids is the LtoR student's input followed by the RtoL student's,
@@ -388,40 +394,30 @@ class TableModel:
             raise ValueError(f"{ids.shape[0]} input rows do not split into {len(dirs)} students")
         if n > self.cfg.struct_cap:
             raise ValueError(f"structure input length {n} exceeds cap {self.cfg.struct_cap}")
-        if len(dirs) > 1 and isinstance(img_feats, DecodeCache):
-            raise ValueError("both students run in one pass only on the plain memory")
-        student, positions = np.divmod(np.arange(ids.shape[0]), n)
-        cache = img_feats if isinstance(img_feats, DecodeCache) else None
-        if cache is None:  # a full pass
-            new, first, memory = np.arange(ids.shape[0]), 0, img_feats
-        else:
-            first = cache.begin_structure(direction, ids, self.cfg.window, len(self.html_blocks))
-            new, memory = np.arange(cache.held, n), cache.memory
-        emb = ad.take_rows(self.struct_emb, ids[new])
-        if cache is not None and cache.dir_vecs is not None:  # one direction per cache
-            dir_vecs = cache.dir_vecs
-        else:
-            dir_vecs = ad.matmul(ad.take_rows(self.dir_emb, dirs), self.html_mix_dir)
-            if cache is not None:
-                cache.dir_vecs = dir_vecs
-        x = ad.add(
-            ad.add(ad.matmul(emb, self.html_mix_tok), ad.take_rows(dir_vecs, student[new])),
-            self.html_mix_b,
+        held = 0
+        if isinstance(img_feats, DecodeCache):
+            if len(dirs) > 1:
+                raise ValueError("both students run in one pass only on the plain memory")
+            img_feats.claim(("structure", direction), len(self.html_blocks))
+            held, tokens = img_feats.held, img_feats.tokens
+            if n < held:
+                raise ValueError(f"buffer keeps {n} of the {held} scored positions")
+            bad = np.flatnonzero(ids[:held] != tokens[:held])
+            if bad.size:
+                p = bad[0]
+                raise ValueError(f"position {p} holds token {ids[p]}, scored as {tokens[p]}")
+        student, positions = np.divmod(np.arange(held, ids.shape[0]), n)
+
+        def dense():  # for "both", one causal window per student, over its own rows
+            mask = L.build_local_mask(n, self.cfg.window)
+            return np.broadcast_to(mask, (len(dirs), n, n)) if len(dirs) > 1 else mask
+
+        decoder = (self.struct_emb, self.html_mix_tok, self.html_mix_dir, self.html_mix_b,
+                   self.html_blocks, self.html_norm, self.struct_out)
+        return self._decode(
+            decoder, ids[held:], student, positions, lambda: ad.take_rows(self.dir_emb, dirs),
+            dense, img_feats, student,  # under a cache, sequence 0
         )
-        x = ad.add(x, self.pos_codes(positions[new]))
-        if len(dirs) > 1:  # block-diagonal: one causal window per student, over its own rows
-            mask = np.broadcast_to(L.build_local_mask(n, self.cfg.window), (len(dirs), n, n))
-        elif new.size > 1:
-            mask = L.build_local_mask(n, self.cfg.window, new, first)
-        else:  # one row, the last position: it sees every key it is given
-            mask = None
-        for i, blk in enumerate(self.html_blocks):
-            x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
-        hidden = self.html_norm(x)
-        logits = self.struct_out(hidden)
-        if cache is not None:
-            cache.finish(new.size)
-        return logits, hidden
 
     def fetch_cells(self, struct: StructFeatures) -> Tensor:
         """One feature per cell, taken at the anchors, reading order; (n, d)."""
@@ -471,30 +467,49 @@ class TableModel:
         n_cells = cond.shape[0]
         if np.any(layout.feat_index >= n_cells):
             raise ValueError("layout references a cell with no feature")
-        if cache is None:  # a full pass
-            mask, memory = None, img_feats
+        if cache is not None:
+            cache.claim(("cell", n_cells), len(self.cell_blocks), ad.as_tensor(cond).data)
+        feat = layout.feat_index
+        decoder = (self.content_emb, self.cell_mix_tok, self.cell_mix_feat, self.cell_mix_b,
+                   self.cell_blocks, self.cell_norm, self.content_out)
+        return self._decode(
+            decoder, ids, np.where(feat == ZERO_FEAT, n_cells, feat), layout.rel_pos,
+            lambda: ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))]),
+            lambda: L.build_cellwise_mask(layout.mask_cells, self.cfg.window),
+            img_feats, layout.mask_cells + 1,
+        )[0]
+
+    def _decode(self, decoder, ids, cond_index, positions, cond_rows, dense, img_feats, seq):
+        """The pass both decoders share, over the rows ids at positions:
+        x = emb[ids] @ mix_tok + cond_table[cond_index] + mix_b + pos_codes,
+        then the blocks, the norm and the head; returns (logits, hidden).
+
+        The conditioning table is cond_rows() @ mix_cond, mixed once per
+        decode under a cache.  On the plain memory every row attends under
+        the dense mask dense(); a cache enters the rows as new at (seq,
+        positions) and gives their mask (DecodeCache.begin).
+        """
+        emb, mix_tok, mix_cond, mix_b, blocks, norm, head = decoder
+        cache = img_feats if isinstance(img_feats, DecodeCache) else None
+        if cache is None:
+            memory, mask, table = img_feats, dense(), ad.matmul(cond_rows(), mix_cond)
         else:
-            mask = cache.begin_cells(
-                layout, self.cfg.window, len(self.cell_blocks), ad.as_tensor(cond).data
-            )
-            memory = cache.memory
-        if mask is None:  # every position is scored: the dense cell-wise mask
-            mask = L.build_cellwise_mask(layout.mask_cells, self.cfg.window)
-        emb = ad.take_rows(self.content_emb, ids)
-        feats_aug = ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))])
-        feat_rows = layout.feat_index
-        feats = ad.take_rows(feats_aug, np.where(feat_rows == ZERO_FEAT, n_cells, feat_rows))
+            memory, mask = cache.memory, cache.begin(seq, positions, ids, self.cfg.window, dense)
+            if cache.cond_table is None:
+                cache.cond_table = ad.matmul(cond_rows(), mix_cond)
+            table = cache.cond_table
         x = ad.add(
-            ad.add(ad.matmul(emb, self.cell_mix_tok), ad.matmul(feats, self.cell_mix_feat)),
-            self.cell_mix_b,
+            ad.add(ad.matmul(ad.take_rows(emb, ids), mix_tok), ad.take_rows(table, cond_index)),
+            mix_b,
         )
-        x = ad.add(x, self.pos_codes(layout.rel_pos))
-        for i, blk in enumerate(self.cell_blocks):
+        x = ad.add(x, self.pos_codes(positions))
+        for i, blk in enumerate(blocks):
             x = blk(x, mask, memory, past=cache.past(i) if cache else (None, None))
-        logits = self.content_out(self.cell_norm(x))
+        hidden = norm(x)
+        logits = head(hidden)
         if cache is not None:
             cache.finish(ids.shape[0])
-        return logits
+        return logits, hidden
 
 
 class _MemoryKeys:
@@ -555,49 +570,51 @@ class _SelfKeys:
 
 
 class DecodeCache:
-    """What one decode has computed, so that each position is scored once.
+    """What one decode has computed, so that each row is scored once.
 
     html_step and cell_step take it where they take the image memory.  It
-    holds each cross-attention block's memory keys and values, projected once,
-    a structure decode's direction vectors, mixed once,
-    and for every scored position each block's self-attention keys and
-    values, in buffers that grow by doubling.  A step computes and returns
-    only the positions it has not scored, with a fixed number of NumPy calls
-    over those rows.  This is exact because no scored row can change as the
-    buffer grows:
+    holds each cross-attention block's memory keys and values, projected
+    once, the step's conditioning table, mixed once, and for every scored
+    row its token and each block's self-attention keys and values, in
+    buffers that grow by doubling.  One (sequence, position) -> row table
+    keys the rows of both decoders.  A row at (s, p) sees (s, max(0, p -
+    window)) .. (s, p), and, for s >= 1, the shared root (0, 0): a structure
+    decode is sequence 0, and a cell decode SOS at the root, cell k as
+    sequence k + 1 and its SEP as sequence n + k + 1.  A step computes and
+    returns only the rows it has not scored, with a fixed number of NumPy
+    calls over those rows, and the bookkeeping loops over the new rows only.
+    This is exact because no scored row can change as the buffer grows.  A
+    pass attends through the keys its new rows see:
 
-    - a structure row sees only its prefix within the window, so the held
-      rows are a prefix of the buffer, whose tokens must be the ones scored,
-      and the new rows are the rest.  Every held key is kept, and a pass
-      attends to the slice of them that its first new row can see (a single
-      new row sees that whole slice, so html_step gives it no mask);
-    - a cell row sees only SOS and the earlier tokens of its own cell within
-      the window, with its position counted from the cell boundary, so
-      cell_step takes only the new rows, entered in a (mask cell + 1,
-      relative position) -> row table.  A new cell row attends to a gathered
-      key list, SOS plus its own cell's rows inside the window, padded to the
-      longest list of the pass and masked, as one grouped attention call: no
-      score is computed for another cell.
+    - one new row of sequence 0 whose keys are one held range, as in every
+      pass of a greedy structure decode, attends to a slice of the held
+      keys, a view rather than a copy, and needs no mask;
+    - any other row attends to a gathered key list, the root plus its own
+      sequence's rows inside the window, padded to the longest list of the
+      pass and masked, as one grouped attention call: no score is computed
+      for another sequence.
 
-    The first pass scores every position under the dense mask, as a plain
+    The first pass scores every row under the step's dense mask, as a plain
     memory Tensor does: that is the no-cache reference path, which keeps no
-    rows at all.  A structure prefix that does not extend the scored one,
-    and a cell row that is held or whose cell's earlier row is not, raise
-    ValueError.
+    rows at all.  A row that is held already or given twice, and a row whose
+    earlier row in its sequence is neither held nor given before it, raise
+    ValueError and leave the cache as it was.
     """
 
     def __init__(self, memory):
         self.memory = memory
         self.owner = None  # what the held rows were scored for
         self.cond = None
+        self.cond_table = None  # the step's mixed conditioning table, set on the first pass
         self.held = 0  # rows scored so far
-        self.tokens = np.zeros(0, dtype=np.int64)  # structure: token per row, rows [0, held)
-        self.table = np.full((0, 0), -1, dtype=np.int64)  # cells: (mask cell+1, rel) -> row
+        self.tokens = np.zeros(0, dtype=np.int64)  # token per row, rows [0, held)
+        self.table = np.full((0, 0), -1, dtype=np.int64)  # (sequence, position) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
-        self.dir_vecs = None  # structure: html_step's direction vectors, set on the first pass
 
-    def _claim(self, owner, n_blocks: int, cond=None) -> None:
+    def claim(self, owner, n_blocks: int, cond=None) -> None:
+        """Take the cache for a step's rows, or check that it holds rows
+        scored for the same owner and conditioning."""
         if ad.grad_enabled():
             raise ValueError("cached keys and rows carry no gradient; decode under no_grad")
         if self.owner is None:
@@ -610,70 +627,53 @@ class DecodeCache:
         elif cond is not None and not np.array_equal(cond, self.cond):
             raise ValueError("cache holds rows scored for another conditioning")
 
-    def begin_structure(self, direction: str, ids: np.ndarray, window: int, n_blocks: int) -> int:
-        """Check a structure buffer against the held rows, a prefix of it.
-
-        The positions from `held` on are new.  Returns the first position
-        they attend to: the oldest one the first new row sees within the window.
+    def begin(self, seq, pos, ids, window: int, dense):
+        """Enter a pass's new rows, (seq[i], pos[i]) with token ids[i], after
+        the held ones.  Sets the self-key stores to the key rows of the new
+        rows and returns their mask: dense() when nothing is held (the new
+        rows are then all the keys), None for one row that sees all its keys,
+        else a (G, 1, L) mask over each new row's gathered keys.
         """
-        self._claim(("structure", direction), n_blocks)
-        held, n = self.held, ids.shape[0]
-        if n < held:
-            raise ValueError(f"buffer keeps {n} of the {held} scored positions")
-        bad = np.flatnonzero(ids[:held] != self.tokens[:held])
-        if bad.size:
-            p = bad[0]
-            raise ValueError(f"position {p} holds token {ids[p]}, scored as {self.tokens[p]}")
-        self.tokens = _append(self.tokens, held, ids[held:])
-        first = max(held - window, 0)
-        for sk in self.self_keys:
-            sk.order = slice(first, n) if held else None
-        return first
-
-    def begin_cells(self, layout, window: int, n_blocks: int, cond):
-        """Enter a pass's new cell rows in the table, after the held ones.
-
-        Returns their mask: None when nothing is held (the caller builds the
-        dense one), else a (G, 1, L) mask over each new row's gathered keys,
-        which the self-key stores are set to.
-        """
-        self._claim(("cell", cond.shape[0]), n_blocks, cond)
-        cell, rel = layout.mask_cells + 1, layout.rel_pos
-        shape = (int(cell.max(initial=0)) + 1, int(rel.max(initial=0)) + 1)
+        seqs, positions = seq.tolist(), pos.tolist()
+        shape = (max(seqs, default=0) + 1, max(positions, default=0) + 1)
         if shape[0] > self.table.shape[0] or shape[1] > self.table.shape[1]:
             grown = np.full(np.maximum(shape, self.table.shape) * (1, 2), -1, dtype=np.int64)
             grown[: self.table.shape[0], : self.table.shape[1]] = self.table
             self.table = grown
-        table, rows = self.table, np.arange(self.held, self.held + rel.shape[0])
-        old = table[cell, rel]
-        table[cell, rel] = rows
-        # a new row is not held or given twice, and SOS and its cell's earlier
-        # row are held or new: by induction, no gather reads an unscored row
-        follows = (rel == 0) | (table[cell, np.maximum(rel - 1, 0)] >= 0)
-        bad = np.flatnonzero((old >= 0) | (table[cell, rel] != rows) | ~follows | (table[0, 0] < 0))
-        if bad.size:
-            table[cell, rel] = old
-            r = bad[0]
-            why = "is scored already" if old[r] >= 0 else "is given twice or follows no scored row"
-            raise ValueError(f"row {r} (cell {cell[r] - 1}, position {rel[r]}) {why}")
-        if not self.held:
-            for sk in self.self_keys:
-                sk.order = None
-            return None
-        # a new row of cell c at relative position r sees SOS (column 0) and
-        # its cell's positions r - own + 1 .. r, own = min(r, window) + 1
-        if rows.size:
-            own = np.minimum(rel, window) + 1
-            cols = np.arange(1 + own.max())
-            visible = (cols >= 1) & (cols <= own[:, None])
-            at = np.where(visible, (rel - own)[:, None] + cols, 0)
-            gather = table[np.where(visible, cell[:, None], 0), at]  # padding: SOS
-            visible[:, 0] = True
+        table, held, n = self.table, self.held, len(positions)
+        # a new row is not held or given twice, and the root and its earlier
+        # row are held or given before it: so a sequence's rows grow with its
+        # positions, and no gather reads an unscored row.  At these pass sizes
+        # a loop over the new rows costs less than a dozen NumPy calls.
+        for i, (s, p) in enumerate(zip(seqs, positions)):
+            old = table.item(s, p)
+            if old >= 0 or (p and table.item(s, p - 1) < 0) or (s and table.item(0, 0) < 0):
+                table[seq[:i], pos[:i]] = -1
+                r = old - held if old >= held else i
+                why = "is scored already" if 0 <= old < held else "is given twice or follows no scored row"
+                raise ValueError(f"row {r} (cell {s - 1}, position {p}) {why}")
+            table[s, p] = held + i
+        self.tokens = _append(self.tokens, held, ids)
+        # a new row at (s, p) sees the root when s >= 1, and its sequence's
+        # positions lo .. p, lo = max(0, p - window): for one row of
+        # sequence 0, its last `span` held rows and itself
+        span = min(positions[0], window) if n == 1 and seqs[0] == 0 else -1
+        if not held:  # the new rows are all the keys
+            order, mask = None, None if n == 1 else dense()
+        elif span >= 0 and table[0, positions[0] - span] == held - span:  # one range of rows
+            order, mask = slice(held - span, held + 1), None  # a view
+        elif n:
+            lo = np.maximum(pos - window, 0)
+            cols = np.arange(2 + (pos - lo).max())  # column 0: the root
+            visible = (cols >= 1) & (cols <= (pos - lo + 1)[:, None])
+            at = np.where(visible, lo[:, None] + cols - 1, 0)
+            order = table[np.where(visible, seq[:, None], 0), at].ravel()  # padding: the root
+            visible[:, 0] = seq >= 1
             mask = np.where(visible, 0.0, NEG_INF)[:, None, :]
         else:  # nothing to score: one key keeps the attention shapes valid
-            gather, mask = table[0, :1], np.zeros((0, 1))
+            order, mask = table[0, :1], np.zeros((0, 1))
         for sk in self.self_keys:
-            sk.order = gather.ravel()
+            sk.order = order
         return mask
 
     def past(self, block: int):

@@ -817,11 +817,43 @@ class TestDecodeCache:
             cache = DecodeCache(m.encode_image(np.zeros((32, 32))))
             for k in range(1, len(ids) + 1):
                 fresh = copy.deepcopy(cache)
-                fresh.dir_vecs = None
+                fresh.cond_table = None
                 want = m.html_step(ids[:k], "ltor", fresh)
                 got = m.html_step(ids[:k], "ltor", cache)
                 assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want))
         assert len(mixes) == 1 + len(ids)  # the first held pass, and every fresh copy
+
+    def test_one_row_structure_pass_attends_through_a_view(self, monkeypatch):
+        # a pass that adds one structure row, as every greedy pass does, reads
+        # its self-attention keys and values as a slice of the held ones, not
+        # a gathered copy, under no mask; its rows equal the plain pass's
+        m = TableModel(tiny_cfg(window=3, html_blocks=2))
+        rec = synth.generate(synth.PRESETS["wide"], seed=3)
+        ids = [V.STRUCTURE.sos] + list(rec.structure_ids)
+        assert len(ids) > 6  # past the window
+        calls = []
+        attention = ad.attention
+        monkeypatch.setattr(
+            ad, "attention",
+            lambda x, k, v, wq, wo, mask=None: calls.append((wq, k, v, mask))
+            or attention(x, k, v, wq, wo, mask),
+        )
+        with ad.no_grad():
+            feats = m.encode_image(synth.prepare_image(rec.image, 32))
+            cache = DecodeCache(feats)
+            for end in range(1, len(ids) + 1):
+                calls.clear()
+                got = m.html_step(ids[:end], "ltor", cache)
+                for blk, store in zip(m.html_blocks, cache.self_keys):
+                    [(k, v, mask)] = [c[1:] for c in calls if c[0] is blk.self_attn.wq]
+                    assert mask is None
+                    if end > 1:  # the first pass attends to its own new row
+                        assert np.shares_memory(k.data, store.k)
+                        assert np.shares_memory(v.data, store.v)
+                want = m.html_step(ids[:end], "ltor", feats)
+                for g, w in zip(got, want):
+                    assert g.shape[0] == 1
+                    assert np.abs(g.data - w.data[-1:]).max() <= 1e-12
 
     def test_first_cached_pass_refuses_gradients(self):
         # the held memory keys carry no gradient, so not even a first pass may tape

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabmark import autodiff as ad
 from tabmark import checkpoint, cli, synth
 from tabmark import vocab as V
-from tabmark.model import ModelConfig, TableModel
+from tabmark.model import DecodeCache, ModelConfig, TableModel
 from tabmark.synth import GenSpec
 from tabmark.training import LossWeights, TrainConfig
 from test_decoding import assert_cache_exact, content_ids, steer_to
@@ -346,6 +347,9 @@ def test_random_configs_decode_cached_as_uncached():
     # reference: same tokens, pass counts and truncation, logits within 1e-12.
     # Half the decodes are steered to a wide table with its cells scripted,
     # cut to 0-8 tokens; the rest are the untrained model's own greedy output.
+    # Then the table's structure prefix goes to a cached html_step in chunks
+    # of 1-5 rows, so that structure rows also attend through gathered keys,
+    # windows shorter than the prefix among them.
     rng = np.random.default_rng(11)
     for i in range(32):
         model = TableModel(random_small_config(rng))
@@ -355,3 +359,18 @@ def test_random_configs_decode_cached_as_uncached():
             assert_cache_exact(model, rec.image, steer_to(list(rec.structure_ids)), scripts)
         else:
             assert_cache_exact(model, rec.image)
+        assert_structure_chunks_exact(model, rec, np.random.default_rng((11, i)))
+
+
+def assert_structure_chunks_exact(model, rec, rng):
+    ids = [V.STRUCTURE.sos] + list(rec.structure_ids)[: model.cfg.struct_cap - 1]
+    with ad.no_grad():
+        feats = model.encode_image(synth.prepare_image(rec.image, model.cfg.image_side))
+        want = [t.data for t in model.html_step(ids, "ltor", feats)]
+        cache, got, end = DecodeCache(feats), [], 0
+        while end < len(ids):
+            end = min(len(ids), end + int(rng.integers(1, 6)))
+            got.append([t.data for t in model.html_step(ids[:end], "ltor", cache)])
+    for rows, full in zip(zip(*got), want):
+        rows = np.concatenate(rows)
+        assert rows.shape == full.shape and np.abs(rows - full).max() <= 1e-12

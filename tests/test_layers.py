@@ -86,22 +86,6 @@ class TestMasks:
         with pytest.raises(ValueError):
             L.build_cellwise_mask([], 3)
 
-    def test_row_subsets_equal_full_mask_slices(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            n = int(rng.integers(1, 40))
-            w = int(rng.integers(0, 8))
-            first = int(rng.integers(0, n))
-            local = L.build_local_mask(n, w)
-            # the rows a pass scores lie at or after first
-            count = int(rng.integers(0, n - first + 1))
-            rows = np.sort(rng.choice(np.arange(first, n), size=count, replace=False))
-            assert np.array_equal(L.build_local_mask(n, w, rows, first), local[rows, first:])
-
-    def test_row_before_first_column_is_rejected(self):
-        with pytest.raises(ValueError, match="sees no key"):
-            L.build_local_mask(6, 3, [2, 4], first=3)
-
     def test_every_row_has_an_unmasked_entry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

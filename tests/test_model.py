@@ -66,6 +66,7 @@ class TestModelConfig:
             {"html_blocks": 0},
             {"in_channels": 2},
             {"struct_cap": 0},
+            {"struct_cap": 1},  # the buffer starts with SOS: no room for a token
         ],
     )
     def test_validation_rejects(self, kw):
@@ -96,6 +97,7 @@ class TestModelConfig:
             ("heads=0", "head count"),
             ("d=0", "d must be a positive multiple of 4"),
             ("window=-1", "need window >= 0"),
+            ("struct_cap=1", "struct_cap must be >= 2, got 1"),
             ("ffn_mult=0", "ffn_mult >= 1"),
             ("image_side=0", "image side must be a positive multiple of 8, got 0"),
         ],
