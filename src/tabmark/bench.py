@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers as L
 from . import vocab as V
 from .decoding import RecognizeResult, recognize
-from .model import ZERO_FEAT, TableModel
+from .model import TableModel
 
 
 class BenchMismatch(RuntimeError):
@@ -30,7 +29,7 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
     returned logits argmax to the next token of the cell that row predicts
     (its conditioning cell), or SEP once the script is exhausted, so both
     schedules follow the scripts exactly.  SOS and SEP rows, known by their
-    mask cell, predict a first token.  When a model is given, the real
+    token, predict a first token.  When a model is given, the real
     cell_step still runs on the same rows and its output is discarded: wall
     time stays honest while lengths are controlled.  A decoded structure with
     more cells than there are scripts raises ValueError; scripts past its
@@ -51,10 +50,10 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
             raise ValueError(
                 f"the structure has {n_cells} cells but there are {len(scripts)} scripts"
             )
-        cell = layout.feat_index
-        boundary = (layout.mask_cells == L.SOS_CELL) | (layout.mask_cells >= n_cells)
-        nxt = np.where(boundary, 0, np.minimum(layout.rel_pos + 1, longest))
-        live = cell != ZERO_FEAT
+        ids, cell = np.asarray(buffer), layout.cond_cells(n_cells)
+        boundary = (ids == V.CONTENT.sos) | (ids == V.SEP_ID)
+        nxt = np.where(boundary, 0, np.minimum(layout.pos + 1, longest))
+        live = cell < n_cells
         tokens = np.full(n, V.CONTENT.eos, dtype=np.int64)
         tokens[live] = table[cell[live], nxt[live]]
         logits = np.zeros((n, width))

@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import synth
 from . import vocab as V
 from .model import (
-    ZERO_FEAT,
     BufferLayout,
     CellBox,
     DecodeCache,
@@ -151,7 +150,7 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
     memory = DecodeCache(img_feats)
     ids, layout = content_buffer(state.cells)
     size = len(ids)  # of the whole buffer
-    nxt = np.zeros(n, dtype=np.int64)  # each cell's next token
+    nxt = np.zeros(n + 1, dtype=np.int64)  # each cell's next token; [n]: the last SEP's
     passes = 0
     truncated = False
     with ad.no_grad():
@@ -165,8 +164,7 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
                 break
             logits = ad.as_tensor(step(ids, layout, cond, memory)).data
             passes += 1
-            live = layout.feat_index != ZERO_FEAT
-            nxt[layout.feat_index[live]] = logits[live].argmax(axis=1)
+            nxt[layout.cond_cells(n)] = logits.argmax(axis=1)
             for k, token in zip(active, nxt[active].tolist()):
                 if token in _CELL_STOP:
                     state.freeze(k)
@@ -174,9 +172,7 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
                     state.insert(k, token)
             grown = [k for k in active if not state.frozen[k]]
             ids = [state.cells[k][-1] for k in grown]
-            at = np.array(grown, dtype=np.int64)
-            rel = np.array([len(state.cells[k]) - 1 for k in grown], dtype=np.int64)
-            layout = BufferLayout(at, at, rel)
+            layout = BufferLayout.cell_tokens(grown, [len(state.cells[k]) - 1 for k in grown])
             size += len(grown)
     cells = [V.TokenSeq("content", tuple(tokens)) for tokens in state.cells]
     return CellDecode(cells, passes, truncated)

@@ -48,34 +48,33 @@ def pos_grid_2d(h: int, w: int, d: int) -> np.ndarray:
     return pos_encode_2d(rows, cols, d)
 
 
+def _row_rule_mask(seq: np.ndarray, pos: np.ndarray, w: int) -> np.ndarray:
+    """The dense mask of rows keyed (sequence, position): M_ij = 0 iff row j
+    is in row i's sequence with 0 <= p_i - p_j <= w, or j is the root (0, 0)
+    and row i is outside sequence 0 (model.DecodeCache's row rule)."""
+    diff = pos[:, None] - pos[None, :]
+    visible = (seq[:, None] == seq[None, :]) & (diff >= 0) & (diff <= w)
+    visible |= (seq >= 1)[:, None] & ((seq == 0) & (pos == 0))
+    return np.where(visible, 0.0, NEG_INF)
+
+
 def build_local_mask(n: int, w: int) -> np.ndarray:
     """Causal sliding window over n positions: M_ij = 0 iff 0 <= i-j <= w."""
     if n < 1:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    i = np.arange(n)
-    diff = i[:, None] - i[None, :]
-    return np.where((diff >= 0) & (diff <= w), 0.0, NEG_INF)
+    return _row_rule_mask(np.zeros(n, dtype=np.int64), np.arange(n), w)
 
 
-SOS_CELL = -1  # layout marker for the SOS position
-
-
-def build_cellwise_mask(layout, w: int) -> np.ndarray:
-    """M_ij = 0 iff (j is SOS) or (cell(i) == cell(j) and 0 <= i-j <= w).
-
-    layout: per-token cell index, SOS_CELL marking the SOS position.  Callers
-    give SEP positions unique pseudo-cell ids so separators stay isolated.
-    """
-    lay = np.asarray(layout, dtype=np.int64)
-    if lay.size == 0:
+def build_cellwise_mask(seq, pos, w: int) -> np.ndarray:
+    """The mask of content buffer rows keyed (seq, pos) (model.BufferLayout):
+    a row sees its own sequence's rows within the window and, outside
+    sequence 0, the root (0, 0): SOS, and no other cell or SEP."""
+    seq, pos = np.asarray(seq, dtype=np.int64), np.asarray(pos, dtype=np.int64)
+    if seq.size == 0:
         raise ValueError("empty layout")
-    i = np.arange(lay.shape[0])
-    diff = i[:, None] - i[None, :]
-    same = lay[:, None] == lay[None, :]
-    visible = (same & (diff >= 0) & (diff <= w)) | (lay[None, :] == SOS_CELL)
-    return np.where(visible, 0.0, NEG_INF)
+    return _row_rule_mask(seq, pos, w)
 
 
 class ParamSet:

@@ -3,16 +3,16 @@ cell-feature fetcher, refiner, bbox head, and the content (cell) decoder.
 
 Buffer conventions for the cell decoder (shared by training and inference,
 which is what makes greedy parallel decoding equal greedy sequential
-decoding; content_buffer is the one place that writes them):
+decoding; BufferLayout writes them):
 
 - A content buffer is [SOS] followed by cell segments, each ``tokens + SEP``.
-- Masking: a content token sees SOS plus earlier tokens of its own cell
-  within the window; the k-th SEP gets a unique pseudo-cell id, so it sees
-  only SOS and itself and is seen by nobody else.
-- Conditioning: each position carries the feature of the cell whose next
-  token it predicts: SOS carries cell 0, a content token of cell j carries
-  cell j, the k-th SEP carries cell k+1 (the zero vector past the last cell).
-- Relative positions restart at 0 on every boundary (SOS and each SEP).
+- Each row has a (sequence, position) key: SOS is the root (0, 0), the j-th
+  token of cell k is (k + 1, j) and the k-th SEP is (n + k + 1, 0).  By the
+  row rule below a token sees SOS and its cell's earlier tokens within the
+  window, and a SEP sees only SOS and itself and is seen by nobody else.
+- Conditioning: each row carries the feature of the cell whose next token
+  it predicts (BufferLayout.cond_cells): SOS cell 0, a token of cell k cell
+  k, the k-th SEP cell k + 1 (the zero vector past the last cell).
 
 Incremental decoding (DecodeCache): both steps accept, in place of the image
 memory, a cache that holds the memory's cross-attention keys and values
@@ -21,15 +21,13 @@ every row already scored each block's self-attention keys and values.  A
 cached step computes and returns only the rows the cache has not scored.
 Every row is keyed by (sequence, position) and sees the rows of its own
 sequence within the window, (s, max(0, p - window)) .. (s, p), plus, for
-s >= 1, the shared root (0, 0).  A structure decode is sequence 0; a cell
-decode has SOS at the root, cell k as sequence k + 1 and its SEP as sequence
-n + k + 1, so the rules above are this one rule, and no scored row changes
-as the buffer grows.  html_step takes the whole prefix, whose held tokens
-the cache checks; cell_step takes only the new rows, because a pass grows
-cells all over the buffer and the decode knows which rows it added.  A
-plain memory Tensor is the no-cache reference path: a full pass under the
-dense mask (build_local_mask, build_cellwise_mask), as in training, which
-keeps no rows.
+s >= 1, the shared root (0, 0); a structure decode is sequence 0.  So no
+scored row changes as the buffer grows.  html_step takes the whole prefix,
+whose held tokens the cache checks; cell_step takes only the new rows,
+because a pass grows cells all over the buffer and the decode knows which
+rows it added.  A plain memory Tensor is the no-cache reference path: a full
+pass under the dense mask (build_local_mask, build_cellwise_mask), as in
+training, which keeps no rows.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from . import vocab as V
 from .autodiff import NEG_INF, Tensor
 
 VARIANTS = ("bbox", "through", "full")  # also the order ablate writes its rows in
-ZERO_FEAT = -1  # feat_index marker for "no conditioning feature"
 
 
 @dataclass(frozen=True)
@@ -240,37 +237,39 @@ class StructFeatures:
 
 @dataclass
 class BufferLayout:
-    """Per-position annotations of a content buffer (SOS included)."""
+    """Content buffer rows by their DecodeCache keys: SOS at the root (0, 0),
+    the j-th token of cell k at (k + 1, j), the k-th SEP at (n + k + 1, 0).
+    Written by content_buffer, for a whole buffer, and cell_tokens, for new rows."""
 
-    mask_cells: np.ndarray  # cell id per position; SOS marker; SEP islands >= n_cells
-    feat_index: np.ndarray  # which cell's feature each position carries; ZERO_FEAT = none
-    rel_pos: np.ndarray  # position relative to the previous boundary
+    seq: np.ndarray
+    pos: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.mask_cells)
+    @classmethod
+    def cell_tokens(cls, cells, positions) -> "BufferLayout":
+        """The rows of the positions[i]-th token of cell cells[i], for each i."""
+        return cls(np.array(cells, dtype=np.int64) + 1, np.array(positions, dtype=np.int64))
+
+    def cond_cells(self, n: int) -> np.ndarray:
+        """The cell whose next token each row predicts, for n cells: 0 at the
+        root, s - 1 for a token row (s, p), s - n for a SEP; so the last SEP
+        gets n, the zero row of the conditioning table [cond; 0]."""
+        s = self.seq
+        return np.where(s > n, s - n, np.maximum(s - 1, 0))
 
 
 def content_buffer(cells) -> tuple[list[int], BufferLayout]:
     """The content buffer of per-cell token lists, [SOS] + (cell + SEP) for
-    each cell, and its layout: the one place the conventions above are written.
+    each cell, and its layout.
 
     A cell's tokens must not hold SEP or SOS (DecodeState.insert refuses them).
     """
     n = len(cells)
-    ids, mask_cells, feat_index, rel_pos = [V.CONTENT.sos], [L.SOS_CELL], [0], [0]
+    ids, seq, pos = [V.CONTENT.sos], [0], [0]
     for k, tokens in enumerate(cells):
-        m = len(tokens)
-        ids += tokens
-        ids.append(V.SEP_ID)
-        mask_cells += [k] * m
-        mask_cells.append(n + k)  # the k-th SEP: an island id of its own
-        feat_index += [k] * m
-        feat_index.append(k + 1)  # a SEP carries the cell after it
-        rel_pos += range(m)
-        rel_pos.append(0)
-    feat_index[-1] = ZERO_FEAT  # SOS of no cells, or the last SEP: past the last cell
-    arrays = (np.array(a, dtype=np.int64) for a in (mask_cells, feat_index, rel_pos))
-    return ids, BufferLayout(*arrays)
+        ids += [*tokens, V.SEP_ID]
+        seq += [k + 1] * len(tokens) + [n + k + 1]  # the k-th SEP: a sequence of its own
+        pos += [*range(len(tokens)), 0]
+    return ids, BufferLayout(np.array(seq, dtype=np.int64), np.array(pos, dtype=np.int64))
 
 
 class TableModel:
@@ -455,28 +454,32 @@ class TableModel:
         under the dense cell-wise mask.  With a DecodeCache of it they are
         only the rows the cache has not scored: the first pass a full buffer,
         scored the same way, each later pass the rows added since, each
-        attending through its own cell's gathered keys.
+        attending through its own cell's gathered keys.  A row outside the
+        buffer of cond's cells (sequence past 2n, a negative or capped
+        position) raises ValueError before the cache is touched.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         cache = img_feats if isinstance(img_feats, DecodeCache) else None
         n = ids.shape[0] + (cache.held if cache else 0)
         if n > self.cfg.content_cap:
             raise ValueError(f"content input length {n} exceeds cap {self.cfg.content_cap}")
-        if len(layout) != ids.shape[0]:
+        if layout.seq.shape != ids.shape or layout.pos.shape != ids.shape:
             raise ValueError("layout length does not match the buffer")
-        n_cells = cond.shape[0]
-        if np.any(layout.feat_index >= n_cells):
-            raise ValueError("layout references a cell with no feature")
+        n_cells, seq, pos, cap = cond.shape[0], layout.seq, layout.pos, self.cfg.content_cap
+        bad = np.flatnonzero((seq < 0) | (seq > 2 * n_cells) | (pos < 0) | (pos >= cap))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"row {i} (sequence {seq[i]}, position {pos[i]}) is outside "
+                             f"a buffer of {n_cells} cells and content_cap {cap}")
         if cache is not None:
             cache.claim(("cell", n_cells), len(self.cell_blocks), ad.as_tensor(cond).data)
-        feat = layout.feat_index
         decoder = (self.content_emb, self.cell_mix_tok, self.cell_mix_feat, self.cell_mix_b,
                    self.cell_blocks, self.cell_norm, self.content_out)
         return self._decode(
-            decoder, ids, np.where(feat == ZERO_FEAT, n_cells, feat), layout.rel_pos,
+            decoder, ids, layout.cond_cells(n_cells), pos,
             lambda: ad.concat_rows([cond, Tensor(np.zeros((1, self.cfg.d)))]),
-            lambda: L.build_cellwise_mask(layout.mask_cells, self.cfg.window),
-            img_feats, layout.mask_cells + 1,
+            lambda: L.build_cellwise_mask(seq, pos, self.cfg.window),
+            img_feats, seq,
         )[0]
 
     def _decode(self, decoder, ids, cond_index, positions, cond_rows, dense, img_feats, seq):
@@ -579,12 +582,11 @@ class DecodeCache:
     buffers that grow by doubling.  One (sequence, position) -> row table
     keys the rows of both decoders.  A row at (s, p) sees (s, max(0, p -
     window)) .. (s, p), and, for s >= 1, the shared root (0, 0): a structure
-    decode is sequence 0, and a cell decode SOS at the root, cell k as
-    sequence k + 1 and its SEP as sequence n + k + 1.  A step computes and
-    returns only the rows it has not scored, with a fixed number of NumPy
-    calls over those rows, and the bookkeeping loops over the new rows only.
-    This is exact because no scored row can change as the buffer grows.  A
-    pass attends through the keys its new rows see:
+    decode is sequence 0, and a cell decode hands over its BufferLayout's
+    keys.  A step computes and returns only the rows it has not scored, with
+    a fixed number of NumPy calls over those rows, and the bookkeeping loops
+    over the new rows only.  This is exact because no scored row can change
+    as the buffer grows.  A pass attends through the keys its new rows see:
 
     - one new row of sequence 0 whose keys are one held range, as in every
       pass of a greedy structure decode, attends to a slice of the held
@@ -651,7 +653,7 @@ class DecodeCache:
                 table[seq[:i], pos[:i]] = -1
                 r = old - held if old >= held else i
                 why = "is scored already" if 0 <= old < held else "is given twice or follows no scored row"
-                raise ValueError(f"row {r} (cell {s - 1}, position {p}) {why}")
+                raise ValueError(f"row {r} (sequence {s}, position {p}) {why}")
             table[s, p] = held + i
         self.tokens = _append(self.tokens, held, ids)
         # a new row at (s, p) sees the root when s >= 1, and its sequence's

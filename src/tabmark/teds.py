@@ -77,10 +77,9 @@ class _TreeParser(HTMLParser):
                 self._fail(f"unsupported attribute {name!r}")
             if name in spans:
                 self._fail(f"duplicate attribute {name!r}")
-            try:
-                k = int(value) if value is not None else 1
-            except ValueError:
-                self._fail(f"non-integer {name}={value!r}")
+            if value is not None and not (value.isascii() and value.isdigit()):
+                self._fail(f"non-integer {name}={value!r}")  # int() takes "1_0", " 2", "+2", "٣"
+            k = int(value) if value is not None else 1
             if k < 1:
                 self._fail(f"{name}={k} must be positive")
             spans[name] = k

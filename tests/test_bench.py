@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from tabmark import layers as L
 from tabmark import synth
 from tabmark import vocab as V
 from tabmark.bench import BenchMismatch, BenchReport, make_scripted_step, run_bench, verify_sample
 from tabmark.decoding import RecognizeResult, decode_cells_parallel, decode_cells_sequential
-from tabmark.model import ZERO_FEAT, ModelConfig, TableModel
+from tabmark.model import ModelConfig, TableModel
 
 
 def tiny_cfg(**kw):
@@ -63,12 +62,14 @@ def looped_scripted_logits(scripts, buffer, layout):
     n_cells = len(scripts)
     logits = np.zeros((len(buffer), len(V.CONTENT)))
     for p in range(len(buffer)):
-        cell = int(layout.feat_index[p])
-        if cell == ZERO_FEAT:
+        s, pos = int(layout.seq[p]), int(layout.pos[p])
+        if 1 <= s <= n_cells:  # the pos-th token of cell s - 1 predicts the one after it
+            cell, nxt = s - 1, pos + 1
+        else:  # the root predicts cell 0's first token, the k-th SEP cell k + 1's
+            cell, nxt = (s - n_cells if s else 0), 0
+        if cell == n_cells:  # past the last cell
             logits[p, V.CONTENT.eos] = 1.0
             continue
-        boundary = layout.mask_cells[p] == L.SOS_CELL or layout.mask_cells[p] >= n_cells
-        nxt = 0 if boundary else int(layout.rel_pos[p]) + 1
         script = scripts[cell]
         logits[p, script[nxt] if nxt < len(script) else V.SEP_ID] = 1.0
     return logits

@@ -22,14 +22,13 @@ from tabmark.decoding import (
     recognize,
 )
 from tabmark.model import (
-    ZERO_FEAT,
     BufferLayout,
     DecodeCache,
     ModelConfig,
     TableModel,
     content_buffer,
 )
-from test_model import grown_rows, loop_layout
+from test_model import grown_rows, loop_keys
 
 
 def tiny_cfg(**kw):
@@ -250,7 +249,7 @@ class TestScriptedDecoding:
         def step(buffer, layout, cond, img_feats):
             logits = np.zeros((len(buffer), len(V.CONTENT)))
             for p in range(len(buffer)):
-                if layout.mask_cells[p] == L.SOS_CELL:
+                if layout.seq[p] == 0:  # the root
                     logits[p, 5] = 1.0
                     logits[p, 9] = 1.0  # tie: 5 must win
                 else:
@@ -337,7 +336,7 @@ def loop_decode_reference(cap, n, step, parallel):
                 for k in active:
                     frozen[k] = True
                 break
-            logits = step(buffer, loop_layout(buffer, n), None, None)
+            logits = step(buffer, loop_keys(buffer, n), None, None)
             passes += 1
             tokens = np.argmax(logits[np.take(cursors, active) - 1], axis=1).tolist()
             for k, token in zip(active, tokens):
@@ -349,7 +348,7 @@ def loop_decode_reference(cap, n, step, parallel):
                     truncated = True
                     frozen = [True] * n
                     break
-                logits = step(buffer, loop_layout(buffer, n), None, None)
+                logits = step(buffer, loop_keys(buffer, n), None, None)
                 passes += 1
                 advance(k, int(np.argmax(logits[cursors[k] - 1])))
             if truncated:
@@ -360,9 +359,9 @@ def loop_decode_reference(cap, n, step, parallel):
 
 def buffer_positions(full, layout):
     """The position in a full buffer, laid out as full, of each row of
-    layout, found by its (mask cell, relative position)."""
-    where = {key: p for p, key in enumerate(zip(full.mask_cells.tolist(), full.rel_pos.tolist()))}
-    return [where[key] for key in zip(layout.mask_cells.tolist(), layout.rel_pos.tolist())]
+    layout, found by its (sequence, position) key."""
+    where = {key: p for p, key in enumerate(zip(full.seq.tolist(), full.pos.tolist()))}
+    return [where[key] for key in zip(layout.seq.tolist(), layout.pos.tolist())]
 
 
 class Replay:
@@ -379,14 +378,14 @@ class Replay:
         each given row in it, whose token and conditioning must match."""
         if cache is not self.cache:
             self.cache, self.cells = cache, [[] for _ in range(n_cells)]
-        for token, k, r in zip(ids, layout.mask_cells.tolist(), layout.rel_pos.tolist()):
-            if 0 <= k < n_cells:
-                assert r == len(self.cells[k]), (k, r)
-                self.cells[k].append(int(token))
+        for token, s, r in zip(ids, layout.seq.tolist(), layout.pos.tolist()):
+            if 1 <= s <= n_cells:  # a token of cell s - 1
+                assert r == len(self.cells[s - 1]), (s, r)
+                self.cells[s - 1].append(int(token))
         buffer, full = content_buffer(self.cells)
         positions = buffer_positions(full, layout)
         assert [buffer[p] for p in positions] == [int(t) for t in ids]
-        assert np.array_equal(full.feat_index[positions], layout.feat_index)
+        assert np.array_equal(full.cond_cells(n_cells)[positions], layout.cond_cells(n_cells))
         return buffer, full, positions
 
 
@@ -410,11 +409,12 @@ def stop_step(scripts, stops, seen, replay=None):
 
     def step(buffer, layout, cond, memory):
         seen.append(list(buffer) if replay is None else replay(buffer, layout, n, memory)[0])
-        boundary = (layout.mask_cells == L.SOS_CELL) | (layout.mask_cells >= n)
-        nxt = np.where(boundary, 0, np.minimum(layout.rel_pos + 1, longest))
-        live = layout.feat_index != ZERO_FEAT
+        boundary = (layout.seq == 0) | (layout.seq > n)  # the root and the SEPs
+        nxt = np.where(boundary, 0, np.minimum(layout.pos + 1, longest))
+        cell = layout.cond_cells(n)
+        live = cell < n
         tokens = np.full(len(buffer), V.CONTENT.eos)
-        tokens[live] = table[layout.feat_index[live], nxt[live]]
+        tokens[live] = table[cell[live], nxt[live]]
         logits = np.zeros((len(buffer), len(V.CONTENT)))
         logits[np.arange(len(buffer)), tokens] = 1.0
         return logits
@@ -480,7 +480,7 @@ class TestParallelSequentialEquivalence:
         def bounded(buffer, layout, cond_, img_feats):
             logits = m.cell_step(buffer, layout, cond_, img_feats).data.copy()
             for p in range(len(buffer)):
-                if layout.mask_cells[p] < n and layout.rel_pos[p] >= 2:
+                if layout.seq[p] <= n and layout.pos[p] >= 2:
                     logits[p, :] = 0.0
                     logits[p, V.SEP_ID] = 1.0
             return logits
@@ -714,7 +714,7 @@ class TestDecodeCache:
                 keep = out.copy()
                 out[:] = -1.0  # the caller owns the returned rows
                 for p in range(len(buffer)):
-                    if layout.rel_pos[p] >= 2 and layout.mask_cells[p] < n:
+                    if layout.pos[p] >= 2 and layout.seq[p] <= n:
                         keep[p, :] = 0.0
                         keep[p, V.SEP_ID] = 1.0
                 return keep
@@ -739,14 +739,16 @@ class TestDecodeCache:
         with ad.no_grad():
             cache = self.scored_cell_cache(m, cond, feats, held)
             # a row that is held already: cell 0's second token again
-            with pytest.raises(ValueError, match=r"row 0 \(cell 0, position 1\) is scored"):
+            with pytest.raises(ValueError, match=r"row 0 \(sequence 1, position 1\) is scored"):
                 step(*grown_rows([[5, 6]], [1]), cond, cache)
             # a row whose earlier row in its cell is not held: cell 1 skips position 1
-            with pytest.raises(ValueError, match=r"row 1 \(cell 1, position 2\) is given twice or"):
+            skipped = r"row 1 \(sequence 2, position 2\) is given twice or"
+            with pytest.raises(ValueError, match=skipped):
                 step(*grown_rows([[5, 6, 8], [7, 9, 10]], [2, 2]), cond, cache)
             # one row given twice in a pass
-            twice = BufferLayout(*(np.array([0, 0]),) * 2, np.array([2, 2]))
-            with pytest.raises(ValueError, match=r"row 0 \(cell 0, position 2\) is given twice"):
+            twice = BufferLayout.cell_tokens([0, 0], [2, 2])
+            given_twice = r"row 0 \(sequence 1, position 2\) is given twice"
+            with pytest.raises(ValueError, match=given_twice):
                 step([8, 8], twice, cond, cache)
             # another cell count
             three = ad.Tensor(np.vstack([cond.data, cond.data[:1]]))
@@ -989,19 +991,19 @@ class TestGatheredCellKeys:
             model.cell_step(*content_buffer(grown(0)), cond, cache)
             for t in range(1, max(map(len, cells)) + 1):
                 last = content_buffer(grown(t - 1))[1]
-                held = last.mask_cells
-                held_rows = cache.table[held + 1, last.rel_pos]  # row of each position of it
+                held = last.seq
+                held_rows = cache.table[held, last.pos]  # row of each position of it
                 cur, layout = grown_rows(grown(t), lengths(t - 1))
                 want = model.cell_step(cur, layout, cond, copy.deepcopy(cache)).data
                 buffer, full = content_buffer(grown(t))
                 plain = model.cell_step(buffer, full, cond, feats).data
                 assert np.abs(want - plain[buffer_positions(full, layout)]).max() <= 1e-12
                 for c in range(n):
-                    new = np.flatnonzero(layout.mask_cells == c)
+                    new = np.flatnonzero(layout.seq == c + 1)
                     if not new.size:
                         continue
                     for own in (False, True):
-                        pick = held == c if own else (held != c) & (held != L.SOS_CELL)
+                        pick = held == c + 1 if own else (held != c + 1) & (held != 0)
                         if not pick.any():  # cell c holds no row yet
                             continue
                         poisoned = copy.deepcopy(cache)

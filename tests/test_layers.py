@@ -52,6 +52,12 @@ class TestPositionalCodes:
             L.pos_encode_2d(1, 1, 6)
 
 
+def ranks(seq) -> np.ndarray:
+    """Each row's position: the number of earlier rows of its sequence."""
+    seq = list(seq)
+    return np.array([seq[:i].count(s) for i, s in enumerate(seq)], dtype=np.int64)
+
+
 class TestMasks:
     def test_local_row2_window1(self):
         mask = L.build_local_mask(4, 1)
@@ -63,35 +69,35 @@ class TestMasks:
         assert np.array_equal(mask, expect)
 
     def test_cellwise_spec_example(self):
-        # [SOS, t1, SEP1, t2, SEP2]; SEPs carry unique pseudo-cell ids
-        layout = [L.SOS_CELL, 0, 100, 1, 101]
-        mask = L.build_cellwise_mask(layout, w=300)
+        # [SOS, t1, SEP1, t2, SEP2]; each SEP is a sequence of its own
+        seq = [0, 1, 101, 2, 102]
+        mask = L.build_cellwise_mask(seq, ranks(seq), w=300)
         t2 = 3
         assert list(np.where(mask[t2] == 0.0)[0]) == [0, 3]  # {SOS, t2}, not t1
 
     def test_cellwise_sos_carveout_beats_window(self):
-        layout = [L.SOS_CELL] + [0] * 10
-        mask = L.build_cellwise_mask(layout, w=2)
+        seq = [0] + [1] * 10
+        mask = L.build_cellwise_mask(seq, ranks(seq), w=2)
         assert mask[10, 0] == 0.0  # SOS visible although i-j > w
 
     def test_cellwise_single_cell_equals_local_plus_sos(self):
         n = 7
-        layout = [L.SOS_CELL] + [0] * (n - 1)
-        cellwise = L.build_cellwise_mask(layout, w=300)
+        seq = [0] + [1] * (n - 1)
+        cellwise = L.build_cellwise_mask(seq, ranks(seq), w=300)
         local = L.build_local_mask(n, 300)
         local[:, 0] = 0.0
         assert np.array_equal(cellwise, local)
 
     def test_cellwise_rejects_empty(self):
         with pytest.raises(ValueError):
-            L.build_cellwise_mask([], 3)
+            L.build_cellwise_mask([], [], 3)
 
     def test_every_row_has_an_unmasked_entry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 12))
-            layout = [L.SOS_CELL] + list(rng.integers(0, 4, size=n - 1)) if n > 1 else [L.SOS_CELL]
-            mask = L.build_cellwise_mask(layout, w=int(rng.integers(0, 5)))
+            seq = [0] + list(rng.integers(0, 4, size=n - 1) + 1) if n > 1 else [0]
+            mask = L.build_cellwise_mask(seq, ranks(seq), w=int(rng.integers(0, 5)))
             assert np.all(np.any(mask == 0.0, axis=1))
 
 
@@ -165,8 +171,8 @@ class TestAttention:
     def test_cell_isolation_through_attention(self):
         _, attn = make_attention(seed=9)
         rng = np.random.default_rng(10)
-        layout = [L.SOS_CELL, 0, 0, 7, 1, 1, 8, 2]
-        mask = L.build_cellwise_mask(layout, w=300)
+        seq = [0, 1, 1, 8, 2, 2, 9, 3]
+        mask = L.build_cellwise_mask(seq, ranks(seq), w=300)
         x1 = rng.normal(size=(8, 8))
         x2 = x1.copy()
         cell_b = [4, 5]  # replace all of cell 1
@@ -209,8 +215,8 @@ class TestFusedAttention:
             x0, y0 = rng.normal(size=(n, 16)), rng.normal(size=(m, 16))
             mask = None
             if masked:
-                layout = [L.SOS_CELL] + list(rng.integers(0, 3, size=m - 1))
-                mask = (L.build_cellwise_mask(layout, 2)[rng.integers(0, m, size=n)]
+                seq = [0] + list(rng.integers(0, 3, size=m - 1) + 1)
+                mask = (L.build_cellwise_mask(seq, ranks(seq), 2)[rng.integers(0, m, size=n)]
                         if cross else L.build_local_mask(n, 2))
             coef = rng.normal(size=(n, 16))
             runs = []
@@ -236,7 +242,9 @@ class TestFusedAttention:
             n = groups * rows
             x0, coef = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
             local = L.build_local_mask(rows, 2)
-            block = L.build_cellwise_mask(np.repeat(np.arange(groups), rows), 2)
+            block = L.build_cellwise_mask(  # sequences 1..G, no root
+                np.repeat(np.arange(1, groups + 1), rows), np.tile(np.arange(rows), groups), 2
+            )
             runs = []
             for mask in (block, np.broadcast_to(local, (groups, rows, rows))):
                 ps.zero_grad()

@@ -142,16 +142,18 @@ class TestCellBox:
 def grown_rows(cells, before) -> tuple[list[int], M.BufferLayout]:
     """The rows a cached cell decode hands over when each cell k has grown
     from before[k] tokens to all of cells[k]: each row's token, and its
-    layout (mask cell k, feature k, relative position), in cell order."""
+    layout (the r-th token of cell k), in cell order."""
     at = [(k, r) for k, cell in enumerate(cells) for r in range(before[k], len(cell))]
-    k = np.array([k for k, _ in at], dtype=np.int64)
-    rel = np.array([r for _, r in at], dtype=np.int64)
-    return [cells[k][r] for k, r in at], M.BufferLayout(k, k.copy(), rel)
+    layout = M.BufferLayout.cell_tokens([k for k, _ in at], [r for _, r in at])
+    return [cells[k][r] for k, r in at], layout
 
 
-def loop_layout(ids, n_cells: int) -> M.BufferLayout:
-    """The layout of a content buffer, parsed back from its SEPs in a loop
-    over positions: the reference content_buffer's layout must equal."""
+def loop_layout(ids, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout of a content buffer as it was written before rows were
+    keyed (sequence, position), parsed back from its SEPs in a loop over
+    positions: per position a mask cell (-1 at SOS, n + k at the k-th SEP),
+    a feature index (-1: no feature) and a relative position.  content_buffer's
+    keys must relabel it (test_equals_the_loop_reference)."""
     ids = list(ids)
     if not ids or ids[0] != SOS:
         raise ValueError("content buffer must start with SOS")
@@ -159,8 +161,8 @@ def loop_layout(ids, n_cells: int) -> M.BufferLayout:
     mask_cells = np.empty(n, dtype=np.int64)
     feat_index = np.empty(n, dtype=np.int64)
     rel_pos = np.empty(n, dtype=np.int64)
-    mask_cells[0] = L.SOS_CELL
-    feat_index[0] = 0 if n_cells > 0 else M.ZERO_FEAT
+    mask_cells[0] = -1
+    feat_index[0] = 0 if n_cells > 0 else -1
     rel_pos[0] = 0
     cell = seps_seen = offset = 0
     for p in range(1, n):
@@ -170,7 +172,7 @@ def loop_layout(ids, n_cells: int) -> M.BufferLayout:
         if t == SEP:
             mask_cells[p] = n_cells + seps_seen  # unique island id
             nxt = seps_seen + 1
-            feat_index[p] = nxt if nxt < n_cells else M.ZERO_FEAT
+            feat_index[p] = nxt if nxt < n_cells else -1
             rel_pos[p] = 0
             seps_seen += 1
             cell = seps_seen
@@ -182,7 +184,14 @@ def loop_layout(ids, n_cells: int) -> M.BufferLayout:
             feat_index[p] = cell
             rel_pos[p] = offset
             offset += 1
-    return M.BufferLayout(mask_cells, feat_index, rel_pos)
+    return mask_cells, feat_index, rel_pos
+
+
+def loop_keys(ids, n_cells: int) -> M.BufferLayout:
+    """loop_layout relabelled as (sequence, position) keys: the mask cell
+    + 1 and the relative position (test_equals_the_loop_reference)."""
+    mask_cells, _, rel_pos = loop_layout(ids, n_cells)
+    return M.BufferLayout(mask_cells + 1, rel_pos)
 
 
 class TestCellBufferLayout:
@@ -194,18 +203,18 @@ class TestCellBufferLayout:
         a, b, c = content_ids("abc")
         ids, lay = M.content_buffer([[a, b], [], [c]])
         assert ids == [SOS, a, b, SEP, SEP, c, SEP]
-        assert lay.mask_cells[5] == 2
-        np.testing.assert_array_equal(lay.mask_cells, [L.SOS_CELL, 0, 0, 3, 4, 2, 5])
-        np.testing.assert_array_equal(lay.feat_index, [0, 0, 0, 1, 2, 2, M.ZERO_FEAT])
-        np.testing.assert_array_equal(lay.rel_pos, [0, 0, 1, 0, 0, 0, 0])
+        assert lay.seq[5] == 3
+        np.testing.assert_array_equal(lay.seq, [0, 1, 1, 4, 5, 3, 6])
+        np.testing.assert_array_equal(lay.cond_cells(3), [0, 0, 0, 1, 2, 2, 3])
+        np.testing.assert_array_equal(lay.pos, [0, 0, 1, 0, 0, 0, 0])
 
     def test_initial_decode_buffer(self):
         # [SOS, SEP, SEP, SEP]: each SEP is its own island carrying the next cell
         ids, lay = M.content_buffer([[], [], []])
         assert ids == [SOS, SEP, SEP, SEP]
-        np.testing.assert_array_equal(lay.mask_cells, [L.SOS_CELL, 3, 4, 5])
-        np.testing.assert_array_equal(lay.feat_index, [0, 1, 2, M.ZERO_FEAT])
-        np.testing.assert_array_equal(lay.rel_pos, [0, 0, 0, 0])
+        np.testing.assert_array_equal(lay.seq, [0, 4, 5, 6])
+        np.testing.assert_array_equal(lay.cond_cells(3), [0, 1, 2, 3])
+        np.testing.assert_array_equal(lay.pos, [0, 0, 0, 0])
 
     def test_first_token_of_every_cell_rel_zero(self):
         rng = np.random.default_rng(5)
@@ -220,13 +229,15 @@ class TestCellBufferLayout:
             prev_boundary = True
             for p in range(1, len(ids)):
                 if prev_boundary and ids[p] != SEP:
-                    assert lay.rel_pos[p] == 0
+                    assert lay.pos[p] == 0
                 prev_boundary = ids[p] == SEP
 
     def test_equals_the_loop_reference(self):
         # random cell lists, zero cells, empty cells and cells of 13 or more
         # tokens among them: the ids are [SOS] + (cell + SEP) per cell, and
-        # the layout equals the one parsed back from them, dtype included
+        # the keys relabel the old layout parsed back from them: seq is the
+        # mask cell + 1, pos the relative position, and cond_cells the
+        # feature index with -1 read as n, dtypes included
         rng = np.random.default_rng(17)
         letters = content_ids("abcdefgh")
         seen = {"no cells": 0, "empty cell": 0, "long cell": 0}
@@ -243,17 +254,29 @@ class TestCellBufferLayout:
             ids, got = M.content_buffer(cells)
             assert type(ids) is list
             assert ids == [SOS] + [t for c in cells for t in c + [SEP]]
-            want = loop_layout(ids, n_cells)
-            for f in ("mask_cells", "feat_index", "rel_pos"):
-                a, b = getattr(got, f), getattr(want, f)
+            mask_cells, feat_index, rel_pos = loop_layout(ids, n_cells)
+            want = {
+                "seq": (got.seq, mask_cells + 1),
+                "pos": (got.pos, rel_pos),
+                "cond_cells": (
+                    got.cond_cells(n_cells), np.where(feat_index < 0, n_cells, feat_index)
+                ),
+            }
+            for f, (a, b) in want.items():
                 assert a.dtype == b.dtype and np.array_equal(a, b), (cells, f)
+            # and the mask is the old one: SOS, plus the own cell within the window
+            i = np.arange(len(ids))
+            diff = i[:, None] - i[None, :]
+            old = (mask_cells[:, None] == mask_cells) & (diff >= 0) & (diff <= 3)
+            old_mask = np.where(old | (mask_cells == -1), 0.0, ad.NEG_INF)
+            assert np.array_equal(L.build_cellwise_mask(got.seq, got.pos, 3), old_mask), cells
         assert min(seen.values()) > 100, seen
 
     def test_sep_islands_are_unique(self):
         a, b = content_ids("ab")
         _, lay = M.content_buffer([[a], [b]])
-        seps = [lay.mask_cells[2], lay.mask_cells[4]]
-        assert seps == [2, 3]  # >= n_cells and distinct
+        seps = [lay.seq[2], lay.seq[4]]
+        assert seps == [3, 4]  # past the cells' sequences 1..n_cells, and distinct
 
 
 @pytest.fixture(scope="module")
@@ -453,8 +476,38 @@ class TestCellStep:
 
     def test_missing_feature_rejected(self, model, img_feats):
         buf, lay = M.content_buffer([[], []])
-        with pytest.raises(ValueError, match="no feature"):
+        where = r"row 1 \(sequence 3, position 0\) is outside a buffer of 1 cells"
+        with pytest.raises(ValueError, match=where):
             model.cell_step(buf, lay, Tensor(np.zeros((1, 16))), img_feats)
+
+    @pytest.mark.parametrize("row, seq, pos", [(2, -1, 0), (2, 5, 0), (3, 3, -1), (1, 1, 40)])
+    def test_rows_outside_the_buffer_are_refused(self, row, seq, pos):
+        # a negative position would read a code from the end of the position
+        # table, a negative sequence the cache's table from its end
+        m = M.TableModel(tiny_cfg(content_cap=40))
+        feats = m.encode_image(np.zeros((32, 32)))
+        a, b = content_ids("ab")
+        buf, lay = M.content_buffer([[a, b], []])
+        lay.seq[row], lay.pos[row] = seq, pos
+        cond = Tensor(np.random.default_rng(9).standard_normal((2, 16)))
+        where = rf"row {row} \(sequence {seq}, position {pos}\) is outside a buffer of 2 cells"
+        with pytest.raises(ValueError, match=where):
+            m.cell_step(buf, lay, cond, feats)
+        cache = M.DecodeCache(feats)
+        with ad.no_grad(), pytest.raises(ValueError, match=where):
+            m.cell_step(buf, lay, cond, cache)
+        assert cache.owner is None and cache.held == 0 and cache.table.size == 0
+        with ad.no_grad():  # a cache that holds rows is left as it was, too
+            start, first = M.content_buffer([[], []])
+            m.cell_step(start, first, cond, cache)
+            held, table = cache.held, cache.table.copy()
+            new, grown = M.content_buffer([[a], []])[0][1:2], M.BufferLayout.cell_tokens([0], [0])
+            grown.seq[0], grown.pos[0] = seq, pos
+            with pytest.raises(ValueError, match=rf"row 0 \(sequence {seq}, position {pos}\)"):
+                m.cell_step(new, grown, cond, cache)
+            assert cache.held == held and np.array_equal(cache.table, table)
+            m.cell_step(new, M.BufferLayout.cell_tokens([0], [0]), cond, cache)
+            assert cache.held == held + 1
 
     def test_cell_isolation(self, model, img_feats):
         # equal-length edit in cell 0 leaves every cell-1 row bitwise unchanged

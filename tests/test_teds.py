@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,16 @@ class TestHtmlToTree:
             T.html_to_tree("<table><tr><td>x</td>")
         with pytest.raises(ValueError):
             T.html_to_tree("no table here")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 2", "+2"])
+    def test_span_value_is_ascii_digits_only(self, value):
+        # int() reads these as 10, 3, 2 and 2
+        html = f'<table><tr><td colspan="{value}">x</td></tr></table>'
+        where = re.escape(f"line 1, column 11: non-integer colspan={value!r}")
+        with pytest.raises(ValueError, match=where):
+            T.html_to_tree(html)
+        with pytest.raises(ValueError, match="non-integer rowspan"):
+            T.html_to_tree(html.replace("colspan", "rowspan"))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
