@@ -240,11 +240,10 @@ class RefTableParser(HTMLParser):
                 self._fail(f"unsupported attribute {name!r} on <td>")
             if name in spans:
                 self._fail(f"duplicate attribute {name!r}")
-            try:
-                k = int(value) if value is not None else 1
-            except ValueError:
+            if value is not None and not (value.isascii() and value.isdigit()):
                 self._fail(f"non-integer {name}={value!r}")
                 return
+            k = int(value) if value is not None else 1
             if not 1 <= k <= V.MAX_SPAN:
                 self._fail(f"{name}={k} outside 1..{V.MAX_SPAN}")
             spans[name] = k
