@@ -149,11 +149,11 @@ def grown_rows(cells, before) -> tuple[list[int], M.BufferLayout]:
 
 
 def loop_layout(ids, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layout of a content buffer as it was written before rows were
-    keyed (sequence, position), parsed back from its SEPs in a loop over
-    positions: per position a mask cell (-1 at SOS, n + k at the k-th SEP),
-    a feature index (-1: no feature) and a relative position.  content_buffer's
-    keys must relabel it (test_equals_the_loop_reference)."""
+    """The layout of a content buffer in an encoding of its own, parsed back
+    from its SEPs in a loop over positions: per position a mask cell (-1 at
+    SOS, n + k at the k-th SEP), a feature index (-1: no feature) and a
+    relative position.  content_buffer's keys must relabel it
+    (test_equals_the_loop_reference)."""
     ids = list(ids)
     if not ids or ids[0] != SOS:
         raise ValueError("content buffer must start with SOS")
@@ -235,8 +235,8 @@ class TestCellBufferLayout:
     def test_equals_the_loop_reference(self):
         # random cell lists, zero cells, empty cells and cells of 13 or more
         # tokens among them: the ids are [SOS] + (cell + SEP) per cell, and
-        # the keys relabel the old layout parsed back from them: seq is the
-        # mask cell + 1, pos the relative position, and cond_cells the
+        # the keys relabel the loop's layout parsed back from them: seq is
+        # the mask cell + 1, pos the relative position, and cond_cells the
         # feature index with -1 read as n, dtypes included
         rng = np.random.default_rng(17)
         letters = content_ids("abcdefgh")
@@ -264,7 +264,8 @@ class TestCellBufferLayout:
             }
             for f, (a, b) in want.items():
                 assert a.dtype == b.dtype and np.array_equal(a, b), (cells, f)
-            # and the mask is the old one: SOS, plus the own cell within the window
+            # and the mask is the rule over mask cells: SOS, plus the own cell
+            # within the window
             i = np.arange(len(ids))
             diff = i[:, None] - i[None, :]
             old = (mask_cells[:, None] == mask_cells) & (diff >= 0) & (diff <= 3)
