@@ -27,10 +27,11 @@ def main() -> None:
     for box in rec.boxes:
         print("   ", np.round(box, 3))
 
-    # The image is [0, 1] grayscale, quantized to 8 bits so file round-trips
-    # are exact.  Ink is dark on paper white.
+    # The image is 8-bit gray codes, one byte per pixel, as the PGM files hold
+    # them, so file round-trips are exact.  Ink (0) is dark on paper white
+    # (255); synth.prepare_image turns codes into the model's [0, 1] floats.
     img = rec.image
-    print(f"\nimage {img.shape}, ink fraction {float((img < 0.5).mean()):.3f}")
+    print(f"\nimage {img.shape} {img.dtype}, ink fraction {float((img < 128).mean()):.3f}")
 
     with tempfile.TemporaryDirectory() as tmp:
         corpus_dir = os.path.join(tmp, "corpus")

@@ -12,10 +12,13 @@ through bench.make_scripted_step with the true transcripts, so every decode
 runs the real forward passes at the table's true lengths.
 
 Each line is a JSON object: the preset, the table index, the schedule,
-recognize(...).as_dict(timings=False) and the SHA-256 of every array the real
+recognize(...).as_dict(timings=False) and one SHA-256 over the table's
+prepared image, synth.prepare_image(image, side), then every array the real
 html_step and cell_step returned, in call order, taken before a stand-in
-overwrites it.  The script decodes the tree it sits in (its src/ and
-perfbench/); run a copy of it in another checkout and diff the outputs.
+overwrites it.  Each array adds its shape, dtype and bytes, so a mismatch in
+the image path shows apart from the decode steps after it.  The script
+decodes the tree it sits in (its src/ and perfbench/); run a copy of it in
+another checkout and diff the outputs.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def fingerprints(model: TableModel, tables: int):
                 rec = synth.generate(synth.PRESETS[preset], (7, i))
                 for parallel in (True, False):
                     digest = hashlib.sha256()
+                    record(synth.prepare_image(rec.image, model.cfg.image_side))
                     structure.script(rec.structure_ids)
                     step = bench.make_scripted_step(model, content_scripts(rec))
                     res = recognize(model, rec.image, parallel=parallel, cell_step_fn=step)

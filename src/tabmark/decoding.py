@@ -102,7 +102,7 @@ def decode_html(model: TableModel, img_feats) -> HtmlDecode:
                 rows.append(model.html_step(buf, "ltor", memory)[1].data)
                 break
     body = buf[1:]
-    sf = StructFeatures(ad.Tensor(np.concatenate(rows)[1:]), V.iter_cells(body))
+    sf = model.struct_features(body, ad.Tensor(np.concatenate(rows)[1:]))
     return HtmlDecode(V.TokenSeq("structure", tuple(body)), sf, passes, truncated)
 
 
@@ -211,8 +211,10 @@ def recognize(
 ) -> RecognizeResult:
     """Image to HTML: encode, structure decode, fetch/refine/bbox, cell decode.
 
-    Timings are cumulative from image acquisition, reported after the html,
-    bbox and cell stages.
+    image is any nonempty 2-D grayscale array: 8-bit gray codes (uint8) or
+    float pixels in [0, 1] (see synth.prepare_image).  Timings are
+    cumulative from image acquisition, reported after the html, bbox and
+    cell stages.
     """
     t0 = time.perf_counter()
     with ad.no_grad():

@@ -347,8 +347,16 @@ class TableModel:
     # -- stages --------------------------------------------------------------
 
     def encode_image(self, image: np.ndarray) -> Tensor:
-        """(side, side[, C]) pixels in [0,1] -> (grid*grid, d) with 2D codes added."""
-        img = np.asarray(image, dtype=np.float64)
+        """(side, side[, C]) float pixels in [0,1] -> (grid*grid, d) with 2D
+        codes added.  Integer pixels are refused: 8-bit codes become floats
+        in synth.prepare_image only."""
+        img = np.asarray(image)
+        if np.issubdtype(img.dtype, np.integer):
+            raise ValueError(
+                f"expected float pixels in [0, 1], got {img.dtype}; "
+                "synth.prepare_image converts 8-bit codes"
+            )
+        img = img.astype(np.float64, copy=False)
         if img.ndim == 2:
             img = img[:, :, None]
         side = self.cfg.image_side

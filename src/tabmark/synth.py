@@ -3,8 +3,10 @@
 Rendering is deliberately primitive: a fixed 3x5 bitmap font on a white
 canvas, uniform grid lines, rectangular merges.  Recognition is meant to be
 OCR-trivial so experiments isolate the decoding machinery, not vision.
-All randomness flows from one seed per record; images are quantized to 8-bit
-at generation time so in-memory and on-disk pixels are identical.
+All randomness flows from one seed per record.  Images are held as 8-bit
+gray codes (``uint8``, one byte per pixel) from generation through the PGM
+files and back; ``prepare_image`` is the one place where codes become the
+model's [0, 1] floats.
 
 The stream is part of the corpus format: a record is its seed.  Each
 character of a cell's content takes one bounded integer,
@@ -137,7 +139,7 @@ PRESETS = {
 
 @dataclass
 class TableRecord:
-    image: np.ndarray  # (side, side) float64 in [0,1], 8-bit quantized
+    image: np.ndarray  # (side, side) uint8 gray codes, 0 ink to 255 paper
     structure_ids: tuple[int, ...]
     cells: tuple[str, ...]
     boxes: np.ndarray  # (n_cells, 4) normalized cx, cy, w, h
@@ -299,7 +301,7 @@ def generate(spec: GenSpec, seed) -> TableRecord:
 
     seed_tuple = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
     return TableRecord(
-        image=canvas.astype(np.float64) / 255.0,
+        image=canvas,
         structure_ids=tuple(ids),
         cells=tuple(texts),
         boxes=boxes,
@@ -317,14 +319,19 @@ def sample_seeds(master_seed: int, n: int) -> list[tuple[int, int]]:
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
-    arr = np.round(np.asarray(image) * 255.0).astype(np.uint8)
+    """Write a 2-D array of 8-bit gray codes as a binary (P5) PGM, byte for
+    byte; raise ValueError for any other dtype, which has no exact codes."""
+    arr = np.asarray(image)
+    if arr.dtype != np.uint8 or arr.ndim != 2:
+        raise ValueError(f"{path}: PGM pixels must be 2-D uint8 codes, got {arr.dtype} {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
         fh.write(arr.tobytes())
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM into [0,1] floats.
+    """Read a binary (P5) 8-bit PGM as its (height, width) uint8 gray codes,
+    an array of its own that does not hold the file's bytes.
 
     Raises ValueError naming the file and the fault for anything else.
     """
@@ -360,7 +367,7 @@ def read_pgm(path: str) -> np.ndarray:
     if have < w * h:
         raise ValueError(f"{path}: truncated, {have} pixel bytes for a {w}x{h} image")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos + 1)
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
+    return pixels.reshape(h, w).copy()
 
 
 def record_to_annotation(rec: TableRecord, rec_id: str, filename: str) -> dict:
@@ -488,20 +495,27 @@ def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
 
 
 def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
-    """Pad an arbitrary grayscale image to square with paper white, then
-    bilinear-resize to the model side.  Generated corpora never need this.
+    """The model's (side, side) float64 input in [0, 1]: pad a grayscale
+    image to square with paper white, then bilinear-resize it to the side.
+    A generated image at the model's side needs no resize.
 
-    Raises ValueError for anything but a nonempty 2-D array of pixels in
-    [0, 1], naming the first pixel that is not finite or out of range.
+    A uint8 image holds 8-bit gray codes, converted here as code / 255, the
+    one place codes become floats.  Any other image holds pixels in [0, 1].
+    Raises ValueError for anything but a nonempty 2-D array, naming for a
+    float image the first pixel that is not finite or out of range.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D grayscale array, got shape {img.shape}")
-    bad = np.argwhere(~((img >= 0.0) & (img <= 1.0)))  # NaN fails both comparisons
-    if bad.size:
-        r, c = bad[0]
-        fault = "outside [0, 1]" if np.isfinite(img[r, c]) else "not a finite value"
-        raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, {fault}")
+    if img.dtype == np.uint8:
+        img = img.astype(np.float64) / 255.0  # every code is in range
+    else:
+        img = img.astype(np.float64, copy=False)
+        bad = np.argwhere(~((img >= 0.0) & (img <= 1.0)))  # NaN fails both comparisons
+        if bad.size:
+            r, c = bad[0]
+            fault = "outside [0, 1]" if np.isfinite(img[r, c]) else "not a finite value"
+            raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, {fault}")
     h, w = img.shape
     s = max(h, w)
     padded = np.full((s, s), PAPER / 255.0)

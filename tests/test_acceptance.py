@@ -296,7 +296,7 @@ def test_criterion_8_mask_isolation(report):
     )
     record = synth.generate(spec, seed=11)
     with ad.no_grad():
-        img_feats = model.encode_image(record.image)
+        img_feats = model.encode_image(synth.prepare_image(record.image, cfg.image_side))
 
         # Causal-local: truncating the input suffix never changes earlier rows.
         inp = [V.STRUCTURE.sos] + list(record.structure_ids)

@@ -375,9 +375,9 @@ class TestInfer:
         assert f"{image}: truncated" in capsys.readouterr().err
 
     def test_out_of_range_pixels_exit_data_error(self, work, tmp_path, capsys, monkeypatch):
-        # an image handed on unscaled, with 0..255 pixel values
+        # an image handed on as floats, unscaled, with 0..255 pixel values
         read = synth.read_pgm
-        monkeypatch.setattr(synth, "read_pgm", lambda path: read(path) * 255.0)
+        monkeypatch.setattr(synth, "read_pgm", lambda path: read(path).astype(float))
         out = tmp_path / "pred"
         code = cli.main(
             ["infer", "--corpus", work["corpus"], "--model", work["ckpt"], "--out", str(out)]

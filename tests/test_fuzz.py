@@ -3,14 +3,16 @@ configs and random corpus annotations.  Each input must load or raise a
 ValueError, never another error, so the CLI exits 2 with a located message.
 A table over every number and list key of a JSON config holds them to one
 reading rule, and a TABMARK1 file written by an earlier version must keep
-loading bitwise.  Last, a fuzz over random small model configs holds the
-decode cache to the uncached reference."""
+loading bitwise, while any damaged byte of a TABMARK2 file fails its load.
+Last, a fuzz over random small model configs holds the decode cache to the
+uncached reference."""
 
 import argparse
 import hashlib
 import json
 import math
 import struct
+import zlib
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -33,7 +35,7 @@ TINY = ModelConfig(
 
 def header_offsets(raw: bytes) -> list[int]:
     """The offsets of every byte outside the tensors' float data: magic,
-    config, count and each tensor's name and shape."""
+    config, count, each tensor's name and shape, and a TABMARK2 checksum."""
     out = list(range(8))
     pos = 8
 
@@ -54,6 +56,8 @@ def header_offsets(raw: bytes) -> list[int]:
         text()
         shape = [u32() for _ in range(u32())]
         pos += 8 * math.prod(shape)
+    if raw[:8] == checkpoint.MAGIC:
+        u32()
     assert pos == len(raw)
     return out
 
@@ -84,18 +88,40 @@ def test_truncated_checkpoints_fail_naming_the_path(saved, tmp_path):
         assert str(path) in str(err.value)
 
 
-def test_flipped_bytes_load_or_fail_naming_the_path(saved, tmp_path):
-    # half of the flips hit the headers, where a byte steers the parse; the
-    # other half land anywhere, mostly in the float data
+def flipped(raw: bytes):
+    """50 seeded copies of raw, one byte changed in each: half of the flips
+    hit the headers, where a byte steers the parse; the other half land
+    anywhere, mostly in the float data."""
     rng = np.random.default_rng(2)
-    heads = header_offsets(saved)
-    offsets = list(rng.choice(heads, size=25)) + list(rng.integers(0, len(saved), size=25))
-    path = tmp_path / "flip.ckpt"
+    heads = header_offsets(raw)
+    offsets = list(rng.choice(heads, size=25)) + list(rng.integers(0, len(raw), size=25))
     for at in offsets:
-        raw = bytearray(saved)
-        raw[at] ^= int(rng.integers(1, 256))
-        path.write_bytes(bytes(raw))
+        out = bytearray(raw)
+        out[at] ^= int(rng.integers(1, 256))
+        yield bytes(out)
+
+
+def test_saved_file_is_the_tabmark1_layout_plus_its_crc(saved):
+    assert saved[:8] == b"TABMARK2"
+    assert struct.unpack("<I", saved[-4:])[0] == zlib.crc32(saved[8:-4])
+
+
+def test_flipped_bytes_load_or_fail_naming_the_path(saved, tmp_path):
+    # a TABMARK1 file has no checksum, so a flip in its float data that
+    # leaves the value finite loads
+    path = tmp_path / "flip.ckpt"
+    for raw in flipped(checkpoint.MAGIC_V1 + saved[8:-4]):
+        path.write_bytes(raw)
         assert_loads_or_names_path(path)
+
+
+def test_every_flipped_byte_of_a_tabmark2_file_fails_naming_the_path(saved, tmp_path):
+    path = tmp_path / "flip.ckpt"
+    for raw in flipped(saved):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as err:
+            checkpoint.load(str(path))
+        assert str(path) in str(err.value)
 
 
 KEYS = [f.name for cls in (ModelConfig, TrainConfig, LossWeights) for f in fields(cls)]
@@ -270,7 +296,8 @@ def test_header_text_round_trips():
 def test_an_earlier_tabmark1_file_loads_bitwise(tmp_path):
     # kept as an earlier version of checkpoint.save wrote it, before the header
     # was read through read_fields: it loads to the same config, and saving it
-    # again gives the same bytes, so every weight loaded bitwise
+    # again gives the same bytes after the magic, then their checksum, so
+    # every weight loaded bitwise
     path = Path(__file__).parent / "data" / "tabmark1_tiny.ckpt"
     raw = path.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == (
@@ -282,7 +309,10 @@ def test_an_earlier_tabmark1_file_loads_bitwise(tmp_path):
         struct_cap=20, content_cap=30, variant="bbox", seed=7,
     )
     checkpoint.save(str(tmp_path / "again.ckpt"), model)
-    assert (tmp_path / "again.ckpt").read_bytes() == raw
+    body = raw[8:]
+    assert (tmp_path / "again.ckpt").read_bytes() == (
+        b"TABMARK2" + body + struct.pack("<I", zlib.crc32(body))
+    )
 
 
 @pytest.mark.parametrize("section", [{"d": 10**20, "heads": 4}, {"struct_cap": 10**12}])

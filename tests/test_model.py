@@ -304,6 +304,10 @@ class TestEncodeImage:
         with pytest.raises(ValueError, match="channel"):
             model.encode_image(np.zeros((32, 32, 3)))
 
+    def test_encode_refuses_integer_codes(self, model):
+        with pytest.raises(ValueError, match="float pixels in \\[0, 1\\], got uint8"):
+            model.encode_image(np.full((32, 32), 255, dtype=np.uint8))
+
     def test_locality(self, model):
         # a perturbation confined to the top-left pixels leaves grid cells
         # outside the receptive field (15px here) bitwise unchanged

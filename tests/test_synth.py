@@ -89,7 +89,7 @@ class TestGenerate:
         for seed in range(10):
             rec = synth.generate(spec, seed)
             side = spec.image_side
-            ink = rec.image <= synth.INK / 255.0 + 1e-9
+            ink = rec.image == synth.INK
             if not ink.any():
                 continue
             ys, xs = np.where(ink)
@@ -187,6 +187,7 @@ class TestCorpusIO:
         path = str(tmp_path / "img.pgm")
         synth.write_pgm(path, rec.image)
         back = synth.read_pgm(path)
+        assert back.dtype == rec.image.dtype == np.uint8
         assert np.array_equal(back, rec.image)
 
     @pytest.mark.parametrize(
@@ -211,7 +212,8 @@ class TestCorpusIO:
     def test_pgm_header_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1 # size\n255\n" + bytes([0, 255]))
-        assert np.array_equal(synth.read_pgm(str(path)), [[0.0, 1.0]])
+        img = synth.read_pgm(str(path))
+        assert img.dtype == np.uint8 and np.array_equal(img, [[0, 255]])
 
     def test_emit_zero_records(self, tmp_path):
         synth.emit_corpus(0, synth.PRESETS["wide"], str(tmp_path / "c"))
@@ -226,6 +228,22 @@ class TestCorpusIO:
         direct = synth.generate(synth.PRESETS["wide"], (42, 2))
         assert np.array_equal(loaded[2][1].image, direct.image)
         assert loaded[2][1].cells == direct.cells
+
+    def test_load_keeps_each_record_as_its_codes(self, tmp_path):
+        # one byte per pixel, as generated, and no view into a file's bytes
+        spec = synth.PRESETS["dense"]
+        path = str(tmp_path / "corpus")
+        synth.emit_corpus(4, spec, path, master_seed=9)
+        for i, (_, rec) in enumerate(synth.load_corpus(path)):
+            want = synth.generate(spec, (9, i)).image
+            assert want.dtype == rec.image.dtype == np.uint8
+            assert rec.image.tobytes() == want.tobytes()
+            assert rec.image.nbytes == spec.image_side**2
+            assert rec.image.flags.owndata
+
+    def test_write_pgm_refuses_float_pixels(self, tmp_path):
+        with pytest.raises(ValueError, match="uint8 codes, got float64"):
+            synth.write_pgm(str(tmp_path / "f.pgm"), np.ones((2, 2)))
 
     def test_rerun_identical_bytes(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -342,6 +360,15 @@ class TestCorpusIO:
 
 
 class TestPrepareImage:
+    @pytest.mark.parametrize("shape", [(16, 16), (24, 11)], ids=["square", "bilinear"])
+    def test_codes_equal_their_floats_bitwise(self, shape):
+        # all 256 codes, on an image taken at the model side as it is and on
+        # one that is padded and resized
+        img = (np.arange(shape[0] * shape[1]) % 256).astype(np.uint8).reshape(shape)
+        want = synth.prepare_image(img / 255.0, 16)
+        got = synth.prepare_image(img, 16)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_identity_when_square_and_sized(self):
         img = np.random.default_rng(0).random((64, 64))
         out = synth.prepare_image(img, 64)
