@@ -4,7 +4,11 @@ A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the tape in reverse topological order and accumulates gradients into every
 reachable Tensor with requires_grad set.  Gradients ADD into .grad so that
 per-sample backward calls implement batch accumulation; call zero_grad between
-optimizer steps.
+optimizer steps.  backward() frees the graph it walks: once a node's gradient
+has gone to its parents, the node drops its parents and its backward rule with
+the arrays that rule saved, so one sample's tape is released as its backward
+runs.  A second backward through any node of a walked graph raises
+RuntimeError.
 
 Fused ops put one node on the tape and carry hand-derived backward rules.
 The layers are built from linear, feed_forward, project_heads, attention,
@@ -69,7 +73,13 @@ class Tensor:
     # -- graph -------------------------------------------------------------
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf."""
+        """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf.
+
+        Frees the graph as it walks it: each interior node, once its backward
+        rule has run, keeps only its data, so afterwards self is a leaf and
+        every interior node no one else holds is gone.  A later backward that
+        reaches a walked node raises RuntimeError.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -89,21 +99,30 @@ class Tensor:
         grads: dict[int, np.ndarray] = {
             id(self): np.ones_like(self.data) if seed is None else np.asarray(seed)
         }
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            parents, backward = node._parents, node._backward
+            if backward is not None:
+                node._parents, node._backward = (), _freed
             if g is None:
                 continue
             if node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
-            if node._backward is None:
+            if backward is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
+
+
+def _freed(g):
+    """The backward rule of a node an earlier backward() has walked."""
+    raise RuntimeError("graph already freed by an earlier backward()")
 
 
 def as_tensor(x) -> Tensor:
@@ -474,7 +493,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     out = cols2 @ wm
     out += b.data
     _relu_(out)
-    x_grad = _taped((x,))
+    x_grad, padded = _taped((x,)), xp.shape
 
     def backward(g):
         g2 = g.reshape(ho * wo, -1) * (out > 0)
@@ -483,7 +502,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
         if not x_grad:
             return None, gw, gb
         gcols = (g2 @ wm.T).reshape(ho, wo, k, k, cin)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(padded)
         for di in range(k):
             for dj in range(k):
                 gxp[di : di + stride * ho : stride, dj : dj + stride * wo : stride, :] += gcols[

@@ -48,12 +48,17 @@ def pos_grid_2d(h: int, w: int, d: int) -> np.ndarray:
     return pos_encode_2d(rows, cols, d)
 
 
+def _window(pos: np.ndarray, w: int) -> np.ndarray:
+    """(n, n) booleans: 0 <= p_i - p_j <= w."""
+    diff = pos[:, None] - pos[None, :]
+    return (diff >= 0) & (diff <= w)
+
+
 def _row_rule_mask(seq: np.ndarray, pos: np.ndarray, w: int) -> np.ndarray:
     """The dense mask of rows keyed (sequence, position): M_ij = 0 iff row j
     is in row i's sequence with 0 <= p_i - p_j <= w, or j is the root (0, 0)
     and row i is outside sequence 0 (model.DecodeCache's row rule)."""
-    diff = pos[:, None] - pos[None, :]
-    visible = (seq[:, None] == seq[None, :]) & (diff >= 0) & (diff <= w)
+    visible = (seq[:, None] == seq[None, :]) & _window(pos, w)
     visible |= (seq >= 1)[:, None] & ((seq == 0) & (pos == 0))
     return np.where(visible, 0.0, NEG_INF)
 
@@ -64,7 +69,8 @@ def build_local_mask(n: int, w: int) -> np.ndarray:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    return _row_rule_mask(np.zeros(n, dtype=np.int64), np.arange(n), w)
+    # the row rule over one sequence, without its sequence and root terms
+    return np.where(_window(np.arange(n), w), 0.0, NEG_INF)
 
 
 def build_cellwise_mask(seq, pos, w: int) -> np.ndarray:

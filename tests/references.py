@@ -8,6 +8,8 @@ loss that training computes from logits.  generate is synth.generate with its
 earlier character draw (rng.choice over a NumPy array) and glyph scaling
 (np.kron), which the corpora of this repository were first generated with.
 AdamW steps with a new array for each intermediate and each weight update.
+backward_keeping_graph is Tensor.backward's walk without the freeing: the
+same visit order and sums, every node left as it was.
 """
 
 from __future__ import annotations
@@ -32,6 +34,40 @@ def relu(x: Tensor) -> Tensor:
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     x = ad.as_tensor(x)
     return ad._node(np.swapaxes(x.data, a, b), (x,), lambda g: (np.swapaxes(g, a, b),))
+
+
+def backward_keeping_graph(root: Tensor, seed=None) -> None:
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(root): np.ones_like(root.data) if seed is None else np.asarray(seed)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Finite-difference verification of every autodiff primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -403,3 +405,27 @@ class TestTapeMechanics:
         out = ad.mul(ad.add(w, 1.0), 2.0)
         ad.mean(out).backward()
         assert np.allclose(w.grad, [2 / 3] * 3)
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        mid = ad.matmul(ad.Tensor(np.ones((1, 2))), w)
+        loss = ad.mean(mid)
+        loss.backward()
+        assert loss._parents == () and mid._parents == ()
+        for root in (loss, mid, ad.mean(ad.add(mid, w))):
+            with pytest.raises(RuntimeError, match="graph already freed"):
+                root.backward()
+        assert np.array_equal(w.grad, np.full((2, 2), 1 / 2))  # from the first walk only
+
+    def test_interior_nodes_die_after_backward(self):
+        w = ad.Tensor(np.ones((3, 3)), requires_grad=True)
+        mid = ad.matmul(w, w)
+        inner = ad.mul(mid, 2.0)
+        loss = ad.mean(inner)
+        # a Tensor holds its data, so the data dying shows the Tensor died
+        refs = [weakref.ref(t.data) for t in (mid, inner)]
+        del mid, inner
+        assert all(r() is not None for r in refs)  # held by the tape
+        loss.backward()
+        assert all(r() is None for r in refs)
+        assert w.grad is not None and float(loss.data) == 6.0

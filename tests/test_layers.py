@@ -68,6 +68,15 @@ class TestMasks:
         expect = np.where(np.tril(np.ones((5, 5))) > 0, 0.0, ad.NEG_INF)
         assert np.array_equal(mask, expect)
 
+    def test_local_is_the_row_rule_over_one_sequence(self):
+        # the local mask skips the row rule's sequence and root terms, which
+        # change nothing when every row is sequence 0
+        for n in range(1, 61):
+            for w in range(n + 2):
+                want = L._row_rule_mask(np.zeros(n, dtype=np.int64), np.arange(n), w)
+                got = L.build_local_mask(n, w)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, w)
+
     def test_cellwise_spec_example(self):
         # [SOS, t1, SEP1, t2, SEP2]; each SEP is a sequence of its own
         seq = [0, 1, 101, 2, 102]

@@ -576,9 +576,9 @@ class TestWeightSharing:
         # both structure students backprop into the shared tables
         model.params.zero_grad()
         ids = [V.STRUCTURE.sos] + structure_ids("<table><tr><td></td></tr></table>")
-        for direction in ("ltor", "rtol"):
-            logits, _ = model.html_step(ids, direction, img_feats)
-            ad.mean(logits).backward()
+        # one backward over both: a backward frees the tape it walks, img_feats' too
+        ad.add(*(ad.mean(model.html_step(ids, direction, img_feats)[0])
+                 for direction in ("ltor", "rtol"))).backward()
         g = model.dir_emb.grad
         assert g is not None
         assert np.any(g[0] != 0) and np.any(g[1] != 0)
@@ -643,9 +643,10 @@ def fused_layer_outputs(model: M.TableModel, rec: synth.TableRecord) -> dict:
     cfg = model.cfg
     model.params.zero_grad()
     total = sample_loss(model, rec).total
+    nodes = tape_nodes(total)  # before the backward, which frees the tape
     total.backward()
     out = {f"grad {name}": p.grad for name, p in model.params.items() if p.grad is not None}
-    out["tape nodes"] = tape_nodes(total)
+    out["tape nodes"] = nodes
     with ad.no_grad():
         feats = model.encode_image(synth.prepare_image(rec.image, cfg.image_side))
         ids = [V.STRUCTURE.sos] + list(rec.structure_ids)

@@ -2,11 +2,13 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from references import AdamW as ReferenceAdamW, DistributionSeq, mutual_loss
+from references import AdamW as ReferenceAdamW
+from references import DistributionSeq, backward_keeping_graph, mutual_loss
 from tabmark import autodiff as ad
 from tabmark import checkpoint
 from tabmark import layers as L
@@ -227,13 +229,14 @@ class TestStudentsInOnePass:
 
     def test_short_bodies(self, model):
         # a lone SOS per student, and a one-token body
-        feats = model.encode_image(np.random.default_rng(6).random((128, 128)))
+        image = np.random.default_rng(6).random((128, 128))
         for body in ([], [V.STRUCTURE["<tr>"]]):
-            check_one_pass(model, body, feats)
+            check_one_pass(model, body, model.encode_image(image))
             total = {}
             for f in (T.structure_mutual_loss, two_pass_structure_loss):
                 model.params.zero_grad()
-                parts = f(model, body, feats)[0]
+                # one encoder tape per loss: a backward frees the tape it walks
+                parts = f(model, body, model.encode_image(image))[0]
                 ad.add(
                     ad.add(parts["struct_ce_ltor"], parts["struct_ce_rtol"]),
                     ad.add(parts["kl_ltor"], parts["kl_rtol"]),
@@ -470,6 +473,44 @@ class TestTrain:
         m.params["html.mix_tok.w"].data[0, 0] = np.nan
         with pytest.raises(T.TrainingDiverged, match="epoch 0"):
             T.train(m, self.corpus(1), T.TrainConfig(epochs=1, batch_size=1))
+
+
+class TestFreedTape:
+    """backward frees the tape it walks, so train() holds one sample's tape at
+    a time, with the same parameters as a walk that keeps the graph."""
+
+    def test_minibatch_equals_keep_the_graph_walk(self, monkeypatch):
+        tables = [synth.generate(synth.PRESETS["wide"], (13, i)) for i in range(3)]
+        tables += [synth.generate(synth.PRESETS["dense"], (13, i)) for i in range(2)]
+        tcfg = T.TrainConfig(epochs=1, batch_size=len(tables))
+        runs = []
+        for walk in (Tensor.backward, backward_keeping_graph):
+            monkeypatch.setattr(Tensor, "backward", walk)
+            m = M.TableModel(M.ModelConfig())
+            rows = T.train(m, tables, tcfg)
+            runs.append((rows, {n: p.data.tobytes() for n, p in m.params.items()}))
+        (rows, params), (want_rows, want_params) = runs
+        assert rows == want_rows
+        assert params.keys() == want_params.keys()
+        for name, want in want_params.items():
+            assert params[name] == want, name
+
+    def test_minibatch_peak_is_one_sample_tape(self):
+        # a minibatch of 8 holds the gradients between samples, and nothing of
+        # an earlier sample's tape, so its peak stays that of a one-sample run
+        rec = synth.generate(synth.PRESETS["wide"], (13, 0))
+        peaks = {}
+        for batch_size in (1, 8):
+            m = M.TableModel(M.ModelConfig())
+            tcfg = T.TrainConfig(epochs=1, batch_size=batch_size)
+            tracemalloc.start()
+            try:
+                T.train(m, [rec] * batch_size, tcfg)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for _, p in m.params.items())
+        assert peaks[8] - peaks[1] <= param_bytes + 2**20, (peaks, param_bytes)
 
 
 class TestCheckpointErrors:
