@@ -18,7 +18,7 @@ from .decoding import (
     recognize,
 )
 from .evaluate import evaluate_pairs, score_pair, summarize, summary_table
-from .model import CellBox, ModelConfig, TableModel
+from .model import ModelConfig, TableModel
 from .synth import PRESETS, GenSpec, TableRecord, emit_corpus, generate, load_corpus
 # the teds() similarity itself stays on the submodule: re-exporting the
 # function would shadow the tabmark.teds module attribute
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchMismatch",
     "BenchReport",
-    "CellBox",
     "GenSpec",
     "LossReport",
     "LossWeights",

@@ -20,15 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import synth
 from . import vocab as V
-from .model import (
-    BufferLayout,
-    CellBox,
-    DecodeCache,
-    StructFeatures,
-    TableModel,
-    array_to_boxes,
-    content_buffer,
-)
+from .model import BufferLayout, DecodeCache, TableModel, content_buffer
 
 
 @dataclass
@@ -67,7 +59,7 @@ class DecodeState:
 @dataclass
 class HtmlDecode:
     seq: V.TokenSeq  # structure body, SOS/EOS stripped
-    struct: StructFeatures
+    hidden: ad.Tensor  # one row per body token, for the fetcher
     passes: int
     truncated: bool
 
@@ -101,9 +93,8 @@ def decode_html(model: TableModel, img_feats) -> HtmlDecode:
                 truncated = True
                 rows.append(model.html_step(buf, "ltor", memory)[1].data)
                 break
-    body = buf[1:]
-    sf = model.struct_features(body, ad.Tensor(np.concatenate(rows)[1:]))
-    return HtmlDecode(V.TokenSeq("structure", tuple(body)), sf, passes, truncated)
+    body = V.TokenSeq("structure", tuple(buf[1:]))
+    return HtmlDecode(body, ad.Tensor(np.concatenate(rows)[1:]), passes, truncated)
 
 
 @dataclass
@@ -183,7 +174,7 @@ class RecognizeResult:
     """One image's full output: markup, boxes, counters, cumulative timings."""
 
     html: str
-    boxes: list[CellBox]
+    boxes: np.ndarray  # (n_cells, 4) cx, cy, w, h in [0, 1], as TableRecord.boxes
     structure: V.TokenSeq
     cell_seqs: list[V.TokenSeq]
     cells: list[str]
@@ -195,7 +186,7 @@ class RecognizeResult:
     def as_dict(self, timings: bool = True) -> dict:
         out = {
             "html": self.html,
-            "boxes": [[b.cx, b.cy, b.w, b.h] for b in self.boxes],
+            "boxes": self.boxes.tolist(),
             "cells": list(self.cells),
             "passes": dict(self.passes),
             "truncated": dict(self.truncated),
@@ -223,7 +214,7 @@ def recognize(
         hd = decode_html(model, feats)
         t_html = time.perf_counter() - t0
 
-        refined = model.refine(model.fetch_cells(hd.struct))
+        refined = model.refine(model.fetch_cells(hd.seq.ids, hd.hidden))
         boxes_t = model.bbox_head(refined)
         t_bbox = time.perf_counter() - t0
 
@@ -236,7 +227,7 @@ def recognize(
 
     return RecognizeResult(
         html=html,
-        boxes=array_to_boxes(boxes_t.data),
+        boxes=np.clip(boxes_t.data, 0.0, 1.0),
         structure=hd.seq,
         cell_seqs=cd.cells,
         cells=texts,

@@ -1,6 +1,11 @@
 """The full recognition stack: image encoder, bidirectional HTML decoder,
 cell-feature fetcher, refiner, bbox head, and the content (cell) decoder.
 
+The stages hand each other plain arrays and Tensors: the fetcher takes the
+structure token ids and their hidden rows and finds the cell anchors itself
+(vocab.iter_cells); the bbox head gives an (n_cells, 4) array, the format of
+synth.TableRecord.boxes.
+
 Buffer conventions for the cell decoder (shared by training and inference,
 which is what makes greedy parallel decoding equal greedy sequential
 decoding; BufferLayout writes them):
@@ -33,6 +38,7 @@ training, which keeps no rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -197,42 +203,6 @@ def read_value(like, v):
         pass
     need = "an integer" if kind is int else "a number"
     raise ValueError(f"a list, each item {need}" if many else need)
-
-
-@dataclass(frozen=True)
-class CellBox:
-    """Normalized (center-x, center-y, width, height), all in [0,1]."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        for v in (self.cx, self.cy, self.w, self.h):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"box component {v} outside [0,1]")
-
-
-def array_to_boxes(arr: np.ndarray) -> list[CellBox]:
-    return [CellBox(*np.clip(row, 0.0, 1.0)) for row in np.asarray(arr).reshape(-1, 4)]
-
-
-@dataclass
-class StructFeatures:
-    """Hidden vectors aligned with structure tokens plus the cell anchors."""
-
-    features: Tensor  # (n_tokens, d)
-    anchors: list[int]
-
-    def __post_init__(self) -> None:
-        last = -1
-        for a in self.anchors:
-            if not 0 <= a < self.features.shape[0]:
-                raise ValueError("anchor outside the token range")
-            if a <= last:
-                raise ValueError("anchors must be strictly increasing")
-            last = a
 
 
 @dataclass
@@ -426,15 +396,15 @@ class TableModel:
             dense, img_feats, student,  # under a cache, sequence 0
         )
 
-    def fetch_cells(self, struct: StructFeatures) -> Tensor:
-        """One feature per cell, taken at the anchors, reading order; (n, d)."""
-        if not struct.anchors:
+    def fetch_cells(self, token_ids, hidden: Tensor) -> Tensor:
+        """One feature per cell, reading order, (n, d): the hidden rows of the
+        structure tokens (SOS row stripped) at the cell anchors, V.iter_cells."""
+        if hidden.shape[0] != len(token_ids):
+            raise ValueError(f"{hidden.shape[0]} hidden rows for {len(token_ids)} tokens")
+        anchors = V.iter_cells(token_ids)
+        if not anchors:
             return Tensor(np.zeros((0, self.cfg.d)))
-        return ad.take_rows(struct.features, struct.anchors)
-
-    def struct_features(self, token_ids, hidden: Tensor) -> StructFeatures:
-        """Pair token-aligned hidden states (SOS row already stripped) with anchors."""
-        return StructFeatures(hidden, V.iter_cells(list(token_ids)))
+        return ad.take_rows(hidden, anchors)
 
     def refine(self, cell_feats: Tensor) -> Tensor:
         """Non-causal global attention over the cell set; identity for 'through'."""
@@ -560,24 +530,22 @@ def _append(buf, size: int, rows: np.ndarray, axis: int = 0) -> np.ndarray:
 
 class _SelfKeys:
     """One self-attention block's keys and values of the held rows, in the
-    order they were scored.  A pass writes its new rows after the held ones
-    and attends to the key rows in `order`, which the cache sets; the cache
-    holds them when the pass ends."""
+    order they were scored.  A pass writes its new rows after the `held`
+    ones and attends to the key rows in `order`; both come from the cache
+    (DecodeCache.past), which holds the new rows when the pass ends."""
 
     def __init__(self):
-        self.k = self.v = None  # (heads, capacity, dh); rows [0, size) are held
-        self.size = 0
-        self.order = None  # key rows of the current pass; None: only the new rows
+        self.k = self.v = None  # (heads, capacity, dh); rows [0, held) are held
 
-    def __call__(self, new_rows, project):
+    def __call__(self, new_rows, project, held: int, order):
         k, v = project(new_rows)
-        self.k = _append(self.k, self.size, k.data, axis=1)
-        self.v = _append(self.v, self.size, v.data, axis=1)
-        if self.order is None:  # nothing held: the new rows are all the keys, in order
+        self.k = _append(self.k, held, k.data, axis=1)
+        self.v = _append(self.v, held, v.data, axis=1)
+        if order is None:  # nothing held: the new rows are all the keys, in order
             return k, v
-        if isinstance(self.order, slice):  # a view, not a copy
-            return Tensor(self.k[:, self.order]), Tensor(self.v[:, self.order])
-        return tuple(Tensor(np.take(a, self.order, axis=1)) for a in (self.k, self.v))
+        if isinstance(order, slice):  # a view, not a copy
+            return Tensor(self.k[:, order]), Tensor(self.v[:, order])
+        return tuple(Tensor(np.take(a, order, axis=1)) for a in (self.k, self.v))
 
 
 class DecodeCache:
@@ -588,12 +556,14 @@ class DecodeCache:
     once, the step's conditioning table, mixed once, and for every scored
     row its token and each block's self-attention keys and values, in
     buffers that grow by doubling.  One (sequence, position) -> row table
-    keys the rows of both decoders.  A row at (s, p) sees (s, max(0, p -
-    window)) .. (s, p), and, for s >= 1, the shared root (0, 0): a structure
-    decode is sequence 0, and a cell decode hands over its BufferLayout's
-    keys.  A step computes and returns only the rows it has not scored, with
-    a fixed number of NumPy calls over those rows, and the bookkeeping loops
-    over the new rows only.  This is exact because no scored row can change
+    keys the rows of both decoders.  The cache alone counts the held rows
+    and holds the current pass's key order; each block's key store reads
+    both from it (past).  A row at (s, p) sees (s, max(0, p - window)) ..
+    (s, p), and, for s >= 1, the shared root (0, 0): a structure decode is
+    sequence 0, and a cell decode hands over its BufferLayout's keys.  A
+    step computes and returns only the rows it has not scored, with a fixed
+    number of NumPy calls over those rows, and the bookkeeping loops over
+    the new rows only.  This is exact because no scored row can change
     as the buffer grows.  A pass attends through the keys its new rows see:
 
     - one new row of sequence 0 whose keys are one held range, as in every
@@ -617,6 +587,7 @@ class DecodeCache:
         self.cond = None
         self.cond_table = None  # the step's mixed conditioning table, set on the first pass
         self.held = 0  # rows scored so far
+        self.order = None  # key rows of the current pass; None: only the new rows
         self.tokens = np.zeros(0, dtype=np.int64)  # token per row, rows [0, held)
         self.table = np.full((0, 0), -1, dtype=np.int64)  # (sequence, position) -> row
         self.self_keys: list[_SelfKeys] = []
@@ -639,10 +610,10 @@ class DecodeCache:
 
     def begin(self, seq, pos, ids, window: int, dense):
         """Enter a pass's new rows, (seq[i], pos[i]) with token ids[i], after
-        the held ones.  Sets the self-key stores to the key rows of the new
-        rows and returns their mask: dense() when nothing is held (the new
-        rows are then all the keys), None for one row that sees all its keys,
-        else a (G, 1, L) mask over each new row's gathered keys.
+        the held ones.  Sets `order`, the key rows of the new rows, and
+        returns their mask: dense() when nothing is held (the new rows are
+        then all the keys), None for one row that sees all its keys, else a
+        (G, 1, L) mask over each new row's gathered keys.
         """
         seqs, positions = seq.tolist(), pos.tolist()
         shape = (max(seqs, default=0) + 1, max(positions, default=0) + 1)
@@ -669,29 +640,27 @@ class DecodeCache:
         # sequence 0, its last `span` held rows and itself
         span = min(positions[0], window) if n == 1 and seqs[0] == 0 else -1
         if not held:  # the new rows are all the keys
-            order, mask = None, None if n == 1 else dense()
+            self.order, mask = None, None if n == 1 else dense()
         elif span >= 0 and table[0, positions[0] - span] == held - span:  # one range of rows
-            order, mask = slice(held - span, held + 1), None  # a view
+            self.order, mask = slice(held - span, held + 1), None  # a view
         elif n:
             lo = np.maximum(pos - window, 0)
             cols = np.arange(2 + (pos - lo).max())  # column 0: the root
             visible = (cols >= 1) & (cols <= (pos - lo + 1)[:, None])
             at = np.where(visible, lo[:, None] + cols - 1, 0)
-            order = table[np.where(visible, seq[:, None], 0), at].ravel()  # padding: the root
+            self.order = table[np.where(visible, seq[:, None], 0), at].ravel()  # padding: the root
             visible[:, 0] = seq >= 1
             mask = np.where(visible, 0.0, NEG_INF)[:, None, :]
         else:  # nothing to score: one key keeps the attention shapes valid
-            order, mask = table[0, :1], np.zeros((0, 1))
-        for sk in self.self_keys:
-            sk.order = order
+            self.order, mask = table[0, :1], np.zeros((0, 1))
         return mask
 
     def past(self, block: int):
-        """The key stores of one block, for DecoderBlock(past=...)."""
-        return self.self_keys[block], self.memory_keys[block]
+        """The key stores of one block, for DecoderBlock(past=...); the
+        self-attention store reads the held count and this pass's key order."""
+        keys = partial(self.self_keys[block], held=self.held, order=self.order)
+        return keys, self.memory_keys[block]
 
     def finish(self, new: int) -> None:
         """Hold the pass's new rows: scored, they are never computed again."""
         self.held += new
-        for sk in self.self_keys:
-            sk.size = self.held

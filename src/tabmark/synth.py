@@ -465,8 +465,9 @@ def emit_corpus(n: int, spec: GenSpec, path: str, master_seed: int = 0) -> list[
 def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
     """Read an emitted corpus back as (id, record) pairs in file order.
 
-    A faulty annotation line raises ValueError located as
-    "<path>/annotations.jsonl:<line>: ...".
+    A faulty annotation line, an image file it names that is not a plain
+    file name in the corpus directory, or one that cannot be read as a PGM,
+    raises ValueError located as "<path>/annotations.jsonl:<line>: ...".
     """
     ann_path = os.path.join(path, "annotations.jsonl")
     if not os.path.exists(ann_path):
@@ -486,11 +487,16 @@ def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
             for key in ("id", "filename"):
                 if not isinstance(ann.get(key), str):
                     raise ValueError(f"{where}: field {key!r} missing or not a string")
-            image = read_pgm(os.path.join(path, ann["filename"]))
+            name = ann["filename"]
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise ValueError(f"{where}: filename {name!r} is not a file name in the corpus")
             try:
+                image = read_pgm(os.path.join(path, name))
                 out.append((ann["id"], annotation_to_record(ann, image)))
             except ValueError as e:
                 raise ValueError(f"{where}: {e}") from None
+            except OSError as e:
+                raise ValueError(f"{where}: cannot read {name!r}: {e.strerror or e}") from None
     return out
 
 

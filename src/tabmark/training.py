@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,16 +30,6 @@ from . import synth
 from . import vocab as V
 from .autodiff import Tensor
 from .model import TableModel, content_buffer, read_fields
-
-REPORT_FIELDS = (
-    "struct_ce_ltor",
-    "struct_ce_rtol",
-    "kl_ltor",
-    "kl_rtol",
-    "content_ce",
-    "bbox",
-    "total",
-)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -88,6 +78,9 @@ class LossReport:
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(LossReport))  # "total" last
 
 
 def structure_mutual_loss(model: TableModel, body_ids, img_feats, kl_refs=None):
@@ -161,8 +154,7 @@ def sample_loss(
     body = list(record.structure_ids)
     parts, token_hidden, kl_refs = structure_mutual_loss(model, body, feats, kl_refs)
 
-    sf = model.struct_features(body, token_hidden)
-    refined = model.refine(model.fetch_cells(sf))
+    refined = model.refine(model.fetch_cells(body, token_hidden))
     boxes_pred = model.bbox_head(refined)
     parts["bbox"] = bbox_loss(boxes_pred, record.boxes)
 

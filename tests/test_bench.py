@@ -45,7 +45,7 @@ def fake_result(cells, passes, parallel, truncated=False):
     seqs = [V.TokenSeq("content", tuple(c)) for c in cells]
     return RecognizeResult(
         html="<table></table>",
-        boxes=[],
+        boxes=np.zeros((0, 4)),
         structure=V.TokenSeq("structure", ()),
         cell_seqs=seqs,
         cells=[V.detokenize_content(s.ids) for s in seqs],

@@ -399,6 +399,24 @@ class TestInfer:
         assert code == cli.EXIT_DATA
         assert f"{ann}:1: unknown structure token '<blink>'" in capsys.readouterr().err
 
+    def test_image_outside_the_corpus_exits_data_error(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        shutil.copy(corpus / "table_00000.pgm", tmp_path / "outside.pgm")
+        ann = corpus / "annotations.jsonl"
+        lines = ann.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["filename"] = "../outside.pgm"
+        lines[0] = json.dumps(first)
+        ann.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{ann}:1: filename '../outside.pgm' is not a file name in the corpus" in err
+
     def test_cell_count_disagreeing_with_structure_exits_data_error(self, tmp_path, work, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(work["corpus"], corpus)

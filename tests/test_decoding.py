@@ -64,8 +64,7 @@ def conditioned(model, record):
         body = list(record.structure_ids)
         _, hidden = model.html_step([V.STRUCTURE.sos] + body, "ltor", feats)
         token_hidden = ad.take_rows(hidden, np.arange(1, len(body) + 1))
-        sf = model.struct_features(body, token_hidden)
-        refined = model.refine(model.fetch_cells(sf))
+        refined = model.refine(model.fetch_cells(body, token_hidden))
         boxes = model.bbox_head(refined)
         cond = model.cell_conditioning(refined, boxes)
     return cond, feats
@@ -204,7 +203,8 @@ class TestDecodeHtml:
         assert len(hd.seq.ids) == 7  # cap includes the SOS slot
         assert hd.passes == 7  # no EOS pass when cut off
         # features still cover every emitted token: the fetcher can run
-        fetched = m.fetch_cells(hd.struct)
+        assert hd.hidden.shape == (7, m.cfg.d)
+        fetched = m.fetch_cells(hd.seq.ids, hd.hidden)
         assert fetched.shape == (7, m.cfg.d)
 
 
@@ -534,8 +534,21 @@ class TestRecognize:
         force_structure(m, V.STRUCTURE.eos)
         out = recognize(m, np.zeros((32, 32)))
         assert out.html == "<table></table>"
-        assert out.boxes == [] and out.cells == []
+        assert out.boxes.shape == (0, 4) and out.cells == []
+        assert out.as_dict()["boxes"] == []
         assert out.passes == {"structure": 1, "cell": 0}
+
+    def test_boxes_are_one_clipped_row_per_cell(self):
+        m = TableModel(tiny_cfg(struct_cap=8, content_cap=30))
+        force_structure(m, V.STRUCTURE["</td>"])  # 7 cells
+        image = synth.generate(MICRO, seed=4).image
+        out = recognize(m, image)
+        assert out.boxes.shape == (7, 4) and out.boxes.dtype == np.float64
+        assert np.all((out.boxes >= 0.0) & (out.boxes <= 1.0))
+        assert out.as_dict()["boxes"] == out.boxes.tolist()
+        # a head output outside [0, 1] is clipped
+        m.bbox_head = lambda feats: ad.Tensor(np.tile([1.2, -0.1, 0.5, 0.5], (feats.shape[0], 1)))
+        assert recognize(m, image).boxes.tolist() == [[1.0, 0.0, 0.5, 0.5]] * 7
 
     def test_timings_are_cumulative(self):
         m = TableModel(tiny_cfg(struct_cap=40, content_cap=40))

@@ -120,25 +120,6 @@ class TestModelConfig:
         assert cfg.variant == "full"
 
 
-class TestCellBox:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            M.CellBox(0.5, 0.5, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            M.CellBox(-0.1, 0.5, 0.5, 0.1)
-
-    def test_array_roundtrip(self):
-        arr = np.array([[0.2, 0.3, 0.2, 0.2], [0.0, 1.0, 0.5, 0.25]])
-        assert M.array_to_boxes(arr) == [M.CellBox(*row) for row in arr]
-
-    def test_empty_list(self):
-        assert M.array_to_boxes(np.zeros((0, 4))) == []
-
-    def test_clipping_out_of_range_predictions(self):
-        out = M.array_to_boxes(np.array([[1.2, -0.1, 0.5, 0.5]]))
-        assert out[0] == M.CellBox(1.0, 0.0, 0.5, 0.5)
-
-
 def grown_rows(cells, before) -> tuple[list[int], M.BufferLayout]:
     """The rows a cached cell decode hands over when each cell k has grown
     from before[k] tokens to all of cells[k]: each row's token, and its
@@ -287,9 +268,12 @@ def model():
 
 @pytest.fixture(scope="module")
 def img_feats(model):
+    # untaped: every test of the module shares it, and a backward frees the
+    # tape it walks, so a taped memory would let only one test backpropagate
     rng = np.random.default_rng(0)
     img = rng.random((32, 32))
-    return model.encode_image(img)
+    with ad.no_grad():
+        return model.encode_image(img)
 
 
 class TestEncodeImage:
@@ -412,28 +396,28 @@ class TestFetchRefine:
             V.STRUCTURE[V.TD_MERGED],
             V.STRUCTURE[V.TR_CLOSE],
         ]
-        sf = model.struct_features(ids, Tensor(np.arange(64.0).reshape(4, 16)))
-        assert sf.anchors == [1, 2]
-        fetched = model.fetch_cells(sf)
+        fetched = model.fetch_cells(ids, Tensor(np.arange(64.0).reshape(4, 16)))
         assert fetched.shape == (2, 16)
-        np.testing.assert_array_equal(fetched.data[0], np.arange(16.0, 32.0))
+        np.testing.assert_array_equal(fetched.data, np.arange(16.0, 48.0).reshape(2, 16))
 
     def test_spanned_cell_single_anchor(self, model):
         ids = structure_ids('<table><tr><td colspan="2">x</td></tr></table>')
-        sf = model.struct_features(ids, Tensor(np.zeros((len(ids), 16))))
-        assert len(sf.anchors) == 1
-        assert ids[sf.anchors[0]] == V.STRUCTURE[V.TD_CLOSE]
+        hidden = np.arange(len(ids), dtype=np.float64)[:, None].repeat(16, axis=1)
+        fetched = model.fetch_cells(ids, Tensor(hidden))
+        assert fetched.shape == (1, 16)
+        assert ids[int(fetched.data[0, 0])] == V.STRUCTURE[V.TD_CLOSE]
 
     def test_empty_table(self, model):
-        sf = model.struct_features([], Tensor(np.zeros((0, 16))))
-        assert model.fetch_cells(sf).shape == (0, 16)
-        assert model.refine(model.fetch_cells(sf)).shape == (0, 16)
+        fetched = model.fetch_cells([], Tensor(np.zeros((0, 16))))
+        assert fetched.shape == (0, 16)
+        assert model.refine(fetched).shape == (0, 16)
 
-    def test_anchor_validation(self):
-        with pytest.raises(ValueError, match="anchor"):
-            M.StructFeatures(Tensor(np.zeros((3, 4))), [0, 5])
-        with pytest.raises(ValueError, match="increasing"):
-            M.StructFeatures(Tensor(np.zeros((3, 4))), [2, 1])
+    def test_row_count_must_match_tokens(self, model):
+        ids = structure_ids("<table><tr><td></td></tr></table>")
+        with pytest.raises(ValueError, match=f"^{len(ids) + 1} hidden rows for {len(ids)} tokens$"):
+            model.fetch_cells(ids, Tensor(np.zeros((len(ids) + 1, 16))))
+        with pytest.raises(ValueError, match="hidden rows"):
+            model.fetch_cells(ids, Tensor(np.zeros((0, 16))))
 
     def test_refine_permutation_equivariance(self, model):
         rng = np.random.default_rng(2)
@@ -576,7 +560,7 @@ class TestWeightSharing:
         # both structure students backprop into the shared tables
         model.params.zero_grad()
         ids = [V.STRUCTURE.sos] + structure_ids("<table><tr><td></td></tr></table>")
-        # one backward over both: a backward frees the tape it walks, img_feats' too
+        # one backward over both
         ad.add(*(ad.mean(model.html_step(ids, direction, img_feats)[0])
                  for direction in ("ltor", "rtol"))).backward()
         g = model.dir_emb.grad
@@ -611,11 +595,9 @@ class TestEndToEnd:
         assert logits.shape == (len(inp), len(V.STRUCTURE))
 
         token_hidden = ad.take_rows(hidden, np.arange(1, len(inp)))
-        sf = m.struct_features(body, token_hidden)
         n = rec.n_cells()
-        assert len(sf.anchors) == n
-
-        cells = m.fetch_cells(sf)
+        cells = m.fetch_cells(body, token_hidden)
+        assert cells.shape == (n, cfg.d)
         refined = m.refine(cells)
         assert refined.shape == (n, cfg.d)
         boxes = m.bbox_head(refined)

@@ -50,3 +50,11 @@ def test_every_definition_is_reached():
         "unreached, not allowed": {n: at for n, at in unreached.items() if n not in ALLOWED},
         "allowed, but reached or gone": sorted(set(ALLOWED) - set(unreached)),
     }
+
+
+def test_every_export_resolves():
+    import tabmark
+
+    assert len(tabmark.__all__) == len(set(tabmark.__all__))
+    missing = [name for name in tabmark.__all__ if not hasattr(tabmark, name)]
+    assert not missing, missing

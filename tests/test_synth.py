@@ -350,6 +350,31 @@ class TestCorpusIO:
         path = self.corrupt_line(tmp_path, self.edit_json(lambda a: a.__setitem__("seed", seed)))
         self.assert_located(path, re.escape(f"field 'seed' {seed!r} is not a list of integers"))
 
+    @pytest.mark.parametrize("kind", ["parent", "absolute", "subdir", "empty", "dotdot"])
+    def test_filename_outside_the_corpus_is_refused(self, tmp_path, kind):
+        # a valid PGM outside the corpus used to load silently
+        outside = tmp_path / "outside.pgm"
+        synth.write_pgm(str(outside), np.zeros((2, 2), dtype=np.uint8))
+        name = {"parent": "../outside.pgm", "absolute": str(outside), "subdir": "sub/x.pgm",
+                "empty": "", "dotdot": ".."}[kind]
+        path = self.corrupt_line(tmp_path, self.edit_json(lambda a: a.update(filename=name)))
+        os.mkdir(os.path.join(path, "sub"))
+        synth.write_pgm(os.path.join(path, "sub", "x.pgm"), np.zeros((2, 2), dtype=np.uint8))
+        self.assert_located(path, re.escape(f"filename {name!r} is not a file name in the corpus"))
+
+    @pytest.mark.parametrize("content", [None, b"P5\n4 2\n255\n"])
+    def test_unreadable_image_is_located(self, tmp_path, content):
+        # a missing file used to raise an unlocated FileNotFoundError
+        path = self.corrupt_line(tmp_path, lambda line: line)
+        image = os.path.join(path, "table_00001.pgm")
+        os.remove(image)
+        fault = "cannot read 'table_00001.pgm': No such file"
+        if content is not None:
+            with open(image, "wb") as fh:
+                fh.write(content)
+            fault = f"{image}: truncated"
+        self.assert_located(path, re.escape(fault))
+
     def test_record_regenerable_from_stored_seed(self, tmp_path):
         path = str(tmp_path / "c")
         synth.emit_corpus(3, synth.PRESETS["dense"], path, master_seed=11)
