@@ -560,7 +560,6 @@ class TestWeightSharing:
         # both structure students backprop into the shared tables
         model.params.zero_grad()
         ids = [V.STRUCTURE.sos] + structure_ids("<table><tr><td></td></tr></table>")
-        # one backward over both
         ad.add(*(ad.mean(model.html_step(ids, direction, img_feats)[0])
                  for direction in ("ltor", "rtol"))).backward()
         g = model.dir_emb.grad

@@ -352,7 +352,7 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("kind", ["parent", "absolute", "subdir", "empty", "dotdot"])
     def test_filename_outside_the_corpus_is_refused(self, tmp_path, kind):
-        # a valid PGM outside the corpus used to load silently
+        # a valid PGM sits outside the corpus, so only the refusal stops the load
         outside = tmp_path / "outside.pgm"
         synth.write_pgm(str(outside), np.zeros((2, 2), dtype=np.uint8))
         name = {"parent": "../outside.pgm", "absolute": str(outside), "subdir": "sub/x.pgm",
@@ -364,7 +364,6 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("content", [None, b"P5\n4 2\n255\n"])
     def test_unreadable_image_is_located(self, tmp_path, content):
-        # a missing file used to raise an unlocated FileNotFoundError
         path = self.corrupt_line(tmp_path, lambda line: line)
         image = os.path.join(path, "table_00001.pgm")
         os.remove(image)
