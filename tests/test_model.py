@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tabmark import autodiff as ad
-from tabmark import checkpoint
+from tabmark import checkpoint, decoding
 from tabmark import layers as L
 from tabmark import model as M
 from tabmark import synth
@@ -118,6 +118,41 @@ class TestModelConfig:
         cfg = tiny_cfg()
         assert cfg.with_variant("through").variant == "through"
         assert cfg.variant == "full"
+
+
+class TestCellBox:
+    """Boxes leave recognize() as the bbox head's (n, 4) array, clipped
+    into [0, 1], one row per decoded cell."""
+
+    @staticmethod
+    def recognize_with_head(rows, token):
+        """recognize() on a blank image with the structure head forced to
+        emit token at every step and the bbox head returning rows, cycled
+        over the cells."""
+        m = M.TableModel(tiny_cfg(struct_cap=8, content_cap=30))
+        m.params["html.out.w"].data[:] = 0.0
+        m.params["html.out.b"].data[:] = 0.0
+        m.params["html.out.b"].data[token] = 1.0
+        rows = np.asarray(rows, dtype=np.float64)
+        m.bbox_head = lambda feats: Tensor(np.resize(rows, (feats.shape[0], 4)))
+        return decoding.recognize(m, np.zeros((32, 32)))
+
+    def test_array_roundtrip(self):
+        arr = np.array([[0.2, 0.3, 0.2, 0.2], [0.0, 1.0, 0.5, 0.25]])
+        out = self.recognize_with_head(arr, V.STRUCTURE["</td>"])  # 7 cells
+        want = np.resize(arr, (7, 4))
+        assert out.boxes.dtype == np.float64
+        assert np.array_equal(out.boxes, want)
+        assert np.array_equal(np.array(out.as_dict()["boxes"]), want)
+
+    def test_empty_list(self):
+        out = self.recognize_with_head([[0.2, 0.3, 0.2, 0.2]], V.STRUCTURE.eos)
+        assert out.boxes.shape == (0, 4)
+        assert out.as_dict()["boxes"] == []
+
+    def test_clipping_out_of_range_predictions(self):
+        out = self.recognize_with_head([[1.2, -0.1, 0.5, 0.5]], V.STRUCTURE["</td>"])
+        assert out.boxes.tolist() == [[1.0, 0.0, 0.5, 0.5]] * 7
 
 
 def grown_rows(cells, before) -> tuple[list[int], M.BufferLayout]:
