@@ -65,8 +65,14 @@ def make_scripted_step(model: TableModel | None, scripts: list[list[int]]):
 
 def verify_sample(par: RecognizeResult, seq: RecognizeResult, label: str = "") -> None:
     """Equivalence and pass-law assertions for one benchmark sample."""
+
+    def shared(r):  # both schedules run the same stages up to the cells
+        return r.structure, r.passes["structure"], r.truncated["structure"], r.boxes.tobytes()
+
+    if shared(par) != shared(seq):
+        raise BenchMismatch(f"sample {label}: parallel and sequential structures or boxes differ")
     if par.truncated["cell"] or seq.truncated["cell"]:
-        return  # capacity cutoffs differ between schedules; nothing to compare
+        return  # capacity cutoffs differ between schedules; the cells are not comparable
     tokens_par = [ts.ids for ts in par.cell_seqs]
     tokens_seq = [ts.ids for ts in seq.cell_seqs]
     if tokens_par != tokens_seq or par.html != seq.html:

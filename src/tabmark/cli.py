@@ -60,14 +60,17 @@ def load_config_file(path: str) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ValueError(f"{path}: config key {key!r} given twice")
+                raise ValueError(f"config key {key!r} given twice")
             obj[key] = value
         return obj
 
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=unique)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    try:  # not UTF-8, not JSON, a key given twice or not an object: named with the file
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=unique)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return data
 
 

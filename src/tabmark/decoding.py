@@ -123,14 +123,14 @@ def _decode_cells(model: TableModel, cond, img_feats, step_fn, parallel: bool) -
     """The cell-decode loop of both schedules.
 
     The first pass hands the step the initial buffer, SOS and one SEP per
-    cell, scored under the dense cell-wise mask; every later pass only the
-    rows added since, one per cell that grew, in cell order, each scored
-    against its own cell's gathered keys (see DecodeCache).  The step
-    returns one logits row per row.  Each cell's next token is the argmax
-    (lowest id on ties) of its latest row, the one conditioned on it; every
-    advancing cell's next token is appended to it or, when it is a stop
-    token, freezes it.  A pass that would take the buffer past content_cap
-    is not run: the decode stops, truncated, with every open cell as it is.
+    cell; every later pass only the rows added since, one per cell that
+    grew, in cell order.  Each row is scored against its own cell's gathered
+    keys (see DecodeCache), and the step returns one logits row per row.
+    Each cell's next token is the argmax (lowest id on ties) of its latest
+    row, the one conditioned on it; every advancing cell's next token is
+    appended to it or, when it is a stop token, freezes it.  A pass that
+    would take the buffer past content_cap is not run: the decode stops,
+    truncated, with every open cell as it is.
     """
     n = cond.shape[0]
     if n == 0:

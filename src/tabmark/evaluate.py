@@ -7,10 +7,11 @@ includes it), values scaled to 0..100.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 
+from .model import read_value
+from .synth import read_json_lines
 from .teds import classify, html_to_tree, teds
 
 WORKERS_ENV = "TABMARK_WORKERS"
@@ -51,7 +52,7 @@ def worker_count(explicit=None) -> int:
     if n is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         try:
-            n = int(raw)
+            n = read_value(0, raw)  # as a config integer is read: ASCII decimal text
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if n < 1:
@@ -110,21 +111,16 @@ def summary_table(groups: dict) -> str:
 def read_records(path) -> dict[str, str]:
     """Line-delimited JSON records {id, html} to an ordered id->html map."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                sample_id, html = str(rec["id"]), rec["html"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}:{lineno}: bad record ({e})") from e
-            if not isinstance(html, str):
-                raise ValueError(f"{path}:{lineno}: html must be a string, got {html!r}")
-            if sample_id in out:
-                raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}")
-            out[sample_id] = html
+    for lineno, rec in read_json_lines(path):
+        try:
+            sample_id, html = str(rec["id"]), rec["html"]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path}:{lineno}: bad record ({e})") from e
+        if not isinstance(html, str):
+            raise ValueError(f"{path}:{lineno}: html must be a string, got {html!r}")
+        if sample_id in out:
+            raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}")
+        out[sample_id] = html
     return out
 
 

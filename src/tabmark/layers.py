@@ -54,33 +54,27 @@ def _window(pos: np.ndarray, w: int) -> np.ndarray:
     return (diff >= 0) & (diff <= w)
 
 
-def _row_rule_mask(seq: np.ndarray, pos: np.ndarray, w: int) -> np.ndarray:
-    """The dense mask of rows keyed (sequence, position): M_ij = 0 iff row j
-    is in row i's sequence with 0 <= p_i - p_j <= w, or j is the root (0, 0)
-    and row i is outside sequence 0 (model.DecodeCache's row rule)."""
-    visible = (seq[:, None] == seq[None, :]) & _window(pos, w)
-    visible |= (seq >= 1)[:, None] & ((seq == 0) & (pos == 0))
-    return np.where(visible, 0.0, NEG_INF)
-
-
 def build_local_mask(n: int, w: int) -> np.ndarray:
     """Causal sliding window over n positions: M_ij = 0 iff 0 <= i-j <= w."""
     if n < 1:
         raise ValueError("mask needs at least one position")
     if w < 0:
         raise ValueError("window must be nonnegative")
-    # the row rule over one sequence, without its sequence and root terms
+    # build_cellwise_mask over one sequence, without its sequence and root terms
     return np.where(_window(np.arange(n), w), 0.0, NEG_INF)
 
 
 def build_cellwise_mask(seq, pos, w: int) -> np.ndarray:
-    """The mask of content buffer rows keyed (seq, pos) (model.BufferLayout):
-    a row sees its own sequence's rows within the window and, outside
-    sequence 0, the root (0, 0): SOS, and no other cell or SEP."""
+    """model.DecodeCache's row rule as a dense mask over rows keyed (seq, pos)
+    (model.BufferLayout): M_ij = 0 iff row j is in row i's sequence with
+    0 <= p_i - p_j <= w, or j is the root (0, 0) and row i is outside
+    sequence 0.  In a content buffer: SOS and the row's own cell."""
     seq, pos = np.asarray(seq, dtype=np.int64), np.asarray(pos, dtype=np.int64)
     if seq.size == 0:
         raise ValueError("empty layout")
-    return _row_rule_mask(seq, pos, w)
+    visible = (seq[:, None] == seq[None, :]) & _window(pos, w)
+    visible |= (seq >= 1)[:, None] & ((seq == 0) & (pos == 0))
+    return np.where(visible, 0.0, NEG_INF)
 
 
 class ParamSet:

@@ -20,19 +20,16 @@ decoding; BufferLayout writes them):
   k, the k-th SEP cell k + 1 (the zero vector past the last cell).
 
 Incremental decoding (DecodeCache): both steps accept, in place of the image
-memory, a cache that holds the memory's cross-attention keys and values
-(projected once per image), the step's mixed conditioning table, and for
-every row already scored each block's self-attention keys and values.  A
-cached step computes and returns only the rows the cache has not scored.
+memory, a cache of what the decode has scored, and then compute and return
+only the rows it has not scored, the first pass's as any later pass's.
 Every row is keyed by (sequence, position) and sees the rows of its own
 sequence within the window, (s, max(0, p - window)) .. (s, p), plus, for
 s >= 1, the shared root (0, 0); a structure decode is sequence 0.  So no
 scored row changes as the buffer grows.  html_step takes the whole prefix,
-whose held tokens the cache checks; cell_step takes only the new rows,
-because a pass grows cells all over the buffer and the decode knows which
-rows it added.  A plain memory Tensor is the no-cache reference path: a full
-pass under the dense mask (build_local_mask, build_cellwise_mask), as in
-training, which keeps no rows.
+whose held tokens the cache keeps for html_step to check, and cell_step only
+the new rows, which the decode knows.  Only a full pass, on a plain memory
+Tensor, builds a dense mask (build_local_mask, build_cellwise_mask): the
+no-cache reference path, as in training, which keeps no rows.
 """
 
 from __future__ import annotations
@@ -187,9 +184,10 @@ def read_value(like, v):
     if kind not in (int, float):
         return v
 
-    def number(x):  # int() and float() also take "1_0", " 7 " and non-ASCII digits
+    def number(x):  # int() and float() also take "1_0", " 7 ", "+3" and non-ASCII digits
         text = str(x)
-        if not text.isascii() or "_" in text or text != text.strip():
+        signed = kind is int and text.startswith("+")  # str() writes no "+" before an int
+        if not text.isascii() or "_" in text or text != text.strip() or signed:
             raise ValueError(text)
         return kind(text)
 
@@ -349,10 +347,11 @@ class TableModel:
         input_ids starts with SOS.  img_feats is the image memory or a
         DecodeCache of it.  With the memory it returns (logits, hidden), both
         length-aligned with the input; with a cache it scores and returns only
-        the positions the cache has not scored yet, in order.  It takes the
-        whole prefix even so: the decode appends one token a pass, and the
-        prefix lets the step check that the held positions still hold the
-        tokens they were scored for.
+        the positions the cache has not scored yet, in order, the first pass
+        as any later one.  It takes the whole prefix even so: the decode
+        appends one token a pass, and the prefix lets the step check that the
+        held positions still hold the tokens they were scored for; the cache
+        keeps those tokens for this check alone.
 
         direction "both" runs the two students of training as one pass:
         input_ids is the LtoR student's input followed by the RtoL student's,
@@ -383,6 +382,7 @@ class TableModel:
             if bad.size:
                 p = bad[0]
                 raise ValueError(f"position {p} holds token {ids[p]}, scored as {tokens[p]}")
+            img_feats.tokens = _append(tokens, held, ids[held:])
         student, positions = np.divmod(np.arange(held, ids.shape[0]), n)
 
         def dense():  # for "both", one causal window per student, over its own rows
@@ -430,11 +430,11 @@ class TableModel:
 
         With the image memory, input_ids and layout are a full buffer, scored
         under the dense cell-wise mask.  With a DecodeCache of it they are
-        only the rows the cache has not scored: the first pass a full buffer,
-        scored the same way, each later pass the rows added since, each
-        attending through its own cell's gathered keys.  A row outside the
-        buffer of cond's cells (sequence past 2n, a negative or capped
-        position) raises ValueError before the cache is touched.
+        only the rows the cache has not scored, the first pass's initial
+        buffer as each later pass's rows added since, each attending through
+        its own cell's gathered keys; the cache keeps no cell tokens.  A row
+        outside the buffer of cond's cells (sequence past 2n, a negative or
+        capped position) raises ValueError before the cache is touched.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         cache = img_feats if isinstance(img_feats, DecodeCache) else None
@@ -475,7 +475,7 @@ class TableModel:
         if cache is None:
             memory, mask, table = img_feats, dense(), ad.matmul(cond_rows(), mix_cond)
         else:
-            memory, mask = cache.memory, cache.begin(seq, positions, ids, self.cfg.window, dense)
+            memory, mask = cache.memory, cache.begin(seq, positions, self.cfg.window)
             if cache.cond_table is None:
                 cache.cond_table = ad.matmul(cond_rows(), mix_cond)
             table = cache.cond_table
@@ -541,8 +541,6 @@ class _SelfKeys:
         k, v = project(new_rows)
         self.k = _append(self.k, held, k.data, axis=1)
         self.v = _append(self.v, held, v.data, axis=1)
-        if order is None:  # nothing held: the new rows are all the keys, in order
-            return k, v
         if isinstance(order, slice):  # a view, not a copy
             return Tensor(self.k[:, order]), Tensor(self.v[:, order])
         return tuple(Tensor(np.take(a, order, axis=1)) for a in (self.k, self.v))
@@ -553,18 +551,19 @@ class DecodeCache:
 
     html_step and cell_step take it where they take the image memory.  It
     holds each cross-attention block's memory keys and values, projected
-    once, the step's conditioning table, mixed once, and for every scored
-    row its token and each block's self-attention keys and values, in
-    buffers that grow by doubling.  One (sequence, position) -> row table
-    keys the rows of both decoders.  The cache alone counts the held rows
-    and holds the current pass's key order; each block's key store reads
-    both from it (past).  A row at (s, p) sees (s, max(0, p - window)) ..
-    (s, p), and, for s >= 1, the shared root (0, 0): a structure decode is
-    sequence 0, and a cell decode hands over its BufferLayout's keys.  A
-    step computes and returns only the rows it has not scored, with a fixed
-    number of NumPy calls over those rows, and the bookkeeping loops over
-    the new rows only.  This is exact because no scored row can change
-    as the buffer grows.  A pass attends through the keys its new rows see:
+    once, the step's conditioning table, mixed once, and each block's
+    self-attention keys and values of every scored row, in buffers that
+    grow by doubling; a structure row's token too, for html_step's prefix
+    check.  One (sequence, position) -> row table keys the rows of both
+    decoders.  The cache alone counts the held rows and holds the current
+    pass's key order; each block's key store reads both from it (past).  A
+    row at (s, p) sees (s, max(0, p - window)) .. (s, p), and, for s >= 1,
+    the shared root (0, 0): a structure decode is sequence 0, and a cell
+    decode hands over its BufferLayout's keys.  No scored row can change as
+    the buffer grows, so a step computes and returns only the rows it has
+    not scored, with a fixed number of NumPy calls over them; the
+    bookkeeping loops over the new rows only.  Every pass, the first
+    included, attends through the keys its new rows see, under no dense mask:
 
     - one new row of sequence 0 whose keys are one held range, as in every
       pass of a greedy structure decode, attends to a slice of the held
@@ -574,11 +573,9 @@ class DecodeCache:
       pass and masked, as one grouped attention call: no score is computed
       for another sequence.
 
-    The first pass scores every row under the step's dense mask, as a plain
-    memory Tensor does: that is the no-cache reference path, which keeps no
-    rows at all.  A row that is held already or given twice, and a row whose
-    earlier row in its sequence is neither held nor given before it, raise
-    ValueError and leave the cache as it was.
+    A row that is held already or given twice, and a row whose earlier row
+    in its sequence is neither held nor given before it, raise ValueError
+    and leave the cache as it was.
     """
 
     def __init__(self, memory):
@@ -587,8 +584,8 @@ class DecodeCache:
         self.cond = None
         self.cond_table = None  # the step's mixed conditioning table, set on the first pass
         self.held = 0  # rows scored so far
-        self.order = None  # key rows of the current pass; None: only the new rows
-        self.tokens = np.zeros(0, dtype=np.int64)  # token per row, rows [0, held)
+        self.order = None  # key rows of the current pass
+        self.tokens = np.zeros(0, dtype=np.int64)  # html_step's token per row, rows [0, held)
         self.table = np.full((0, 0), -1, dtype=np.int64)  # (sequence, position) -> row
         self.self_keys: list[_SelfKeys] = []
         self.memory_keys: list[_MemoryKeys] = []
@@ -608,12 +605,12 @@ class DecodeCache:
         elif cond is not None and not np.array_equal(cond, self.cond):
             raise ValueError("cache holds rows scored for another conditioning")
 
-    def begin(self, seq, pos, ids, window: int, dense):
-        """Enter a pass's new rows, (seq[i], pos[i]) with token ids[i], after
-        the held ones.  Sets `order`, the key rows of the new rows, and
-        returns their mask: dense() when nothing is held (the new rows are
-        then all the keys), None for one row that sees all its keys, else a
-        (G, 1, L) mask over each new row's gathered keys.
+    def begin(self, seq, pos, window: int):
+        """Enter a pass's new rows, keyed (seq[i], pos[i]), after the held
+        ones, the first pass's as any later pass's.  Sets `order`, the key
+        rows of the new rows, and returns their mask: None for one row that
+        sees all its keys, else a (G, 1, L) mask over each new row's gathered
+        keys.
         """
         seqs, positions = seq.tolist(), pos.tolist()
         shape = (max(seqs, default=0) + 1, max(positions, default=0) + 1)
@@ -634,14 +631,11 @@ class DecodeCache:
                 why = "is scored already" if 0 <= old < held else "is given twice or follows no scored row"
                 raise ValueError(f"row {r} (sequence {s}, position {p}) {why}")
             table[s, p] = held + i
-        self.tokens = _append(self.tokens, held, ids)
         # a new row at (s, p) sees the root when s >= 1, and its sequence's
         # positions lo .. p, lo = max(0, p - window): for one row of
         # sequence 0, its last `span` held rows and itself
         span = min(positions[0], window) if n == 1 and seqs[0] == 0 else -1
-        if not held:  # the new rows are all the keys
-            self.order, mask = None, None if n == 1 else dense()
-        elif span >= 0 and table[0, positions[0] - span] == held - span:  # one range of rows
+        if span >= 0 and table[0, positions[0] - span] == held - span:  # one range of rows
             self.order, mask = slice(held - span, held + 1), None  # a view
         elif n:
             lo = np.maximum(pos - window, 0)
@@ -651,8 +645,8 @@ class DecodeCache:
             self.order = table[np.where(visible, seq[:, None], 0), at].ravel()  # padding: the root
             visible[:, 0] = seq >= 1
             mask = np.where(visible, 0.0, NEG_INF)[:, None, :]
-        else:  # nothing to score: one key keeps the attention shapes valid
-            self.order, mask = table[0, :1], np.zeros((0, 1))
+        else:  # nothing to score: the root, row 0, keeps the attention shapes valid
+            self.order, mask = slice(0, 1), np.zeros((0, 1))
         return mask
 
     def past(self, block: int):

@@ -473,31 +473,39 @@ def load_corpus(path: str) -> list[tuple[str, TableRecord]]:
     if not os.path.exists(ann_path):
         raise ValueError(f"no annotations.jsonl under {path}")
     out = []
-    with open(ann_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{ann_path}:{lineno}"
-            try:
-                ann = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: bad JSON: {e}") from None
-            if not isinstance(ann, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            for key in ("id", "filename"):
-                if not isinstance(ann.get(key), str):
-                    raise ValueError(f"{where}: field {key!r} missing or not a string")
-            name = ann["filename"]
-            if name in ("", ".", "..") or os.path.basename(name) != name:
-                raise ValueError(f"{where}: filename {name!r} is not a file name in the corpus")
-            try:
-                image = read_pgm(os.path.join(path, name))
-                out.append((ann["id"], annotation_to_record(ann, image)))
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from None
-            except OSError as e:
-                raise ValueError(f"{where}: cannot read {name!r}: {e.strerror or e}") from None
+    for lineno, ann in read_json_lines(ann_path):
+        where = f"{ann_path}:{lineno}"
+        if not isinstance(ann, dict):
+            raise ValueError(f"{where}: not a JSON object")
+        for key in ("id", "filename"):
+            if not isinstance(ann.get(key), str):
+                raise ValueError(f"{where}: field {key!r} missing or not a string")
+        name = ann["filename"]
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError(f"{where}: filename {name!r} is not a file name in the corpus")
+        try:
+            image = read_pgm(os.path.join(path, name))
+            out.append((ann["id"], annotation_to_record(ann, image)))
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        except OSError as e:
+            raise ValueError(f"{where}: cannot read {name!r}: {e.strerror or e}") from None
     return out
+
+
+def read_json_lines(path: str):
+    """(line number, value) of each nonblank line of a line-delimited JSON
+    file, its lines split as text mode splits them.  A line that is not
+    UTF-8 or not JSON raises ValueError located as "<path>:<line>: ..."."""
+    with open(path, "rb") as fh:  # bytes: a text-mode read of a bad byte names no line
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                yield lineno, json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValueError(f"{path}:{lineno}: bad JSON: {e}") from None
 
 
 def prepare_image(image: np.ndarray, side: int) -> np.ndarray:

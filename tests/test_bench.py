@@ -1,5 +1,7 @@
 """Benchmark harness tests: scripted steps, per-sample verification, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,22 @@ class TestVerifySample:
         par = fake_result([content_ids("ab")], 99, True, truncated=True)
         seq = fake_result([content_ids("zzzz")], 1, False)
         verify_sample(par, seq)  # no raise: not comparable
+
+    def test_truncated_samples_still_compare_the_structure_and_boxes(self):
+        # both schedules run the same stages before the cells, so truncated
+        # cells excuse no difference in what those stages give
+        par = replace(fake_result([content_ids("ab")], 99, True, truncated=True),
+                      boxes=np.zeros((1, 4)))
+        seq = fake_result([content_ids("zzzz")], 1, False)
+        verify_sample(par, replace(seq, boxes=par.boxes.copy()))
+        for other in (
+            replace(seq, boxes=np.full((1, 4), 0.5)),
+            replace(seq, boxes=par.boxes, structure=V.TokenSeq("structure", (V.STRUCTURE.eos,))),
+            replace(seq, boxes=par.boxes, passes={"structure": 2, "cell": 1}),
+            replace(seq, boxes=par.boxes, truncated={"structure": True, "cell": False}),
+        ):
+            with pytest.raises(BenchMismatch, match="structures or boxes differ"):
+                verify_sample(par, other)
 
 
 class TestRunBench:

@@ -288,6 +288,22 @@ class TestGen:
         assert f"{cfgfile}: config key 'count' given twice" in capsys.readouterr().err
         assert not (out / "annotations.jsonl").exists()
 
+    def test_config_that_is_not_json_is_named(self, tmp_path, capsys):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_text('{"seed": 1, }')
+        argv = ["gen", "--config", str(cfgfile), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{cfgfile}: Expecting property name enclosed in double quotes: line 1" in err
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfgfile = tmp_path / "gen.json"
+        cfgfile.write_bytes(b'{"seed": "\xff"}')
+        argv = ["gen", "--config", str(cfgfile), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{cfgfile}: 'utf-8' codec can't decode byte 0xff in position 10" in err
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -398,6 +414,21 @@ class TestInfer:
         )
         assert code == cli.EXIT_DATA
         assert f"{ann}:1: unknown structure token '<blink>'" in capsys.readouterr().err
+
+    def test_annotation_that_is_not_utf8_is_located(self, tmp_path, work, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        ann = corpus / "annotations.jsonl"
+        lines = ann.read_bytes().splitlines()
+        lines[1] = lines[1].replace(b'"id": "', b'"id": "\xff', 1)
+        ann.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{ann}:2: bad JSON: 'utf-8' codec can't decode byte 0xff in position" in err
 
     def test_image_outside_the_corpus_exits_data_error(self, tmp_path, work, capsys):
         corpus = tmp_path / "corpus"
@@ -541,11 +572,23 @@ class TestEval:
         assert blobs["1"] == blobs["3"]
 
     def test_bad_worker_variable_is_named(self, tmp_path, work, capsys, monkeypatch):
-        monkeypatch.setenv("TABMARK_WORKERS", "abc")
         argv = ["eval", "--truth", work["truth"], "--pred", work["truth"], "--out",
                 str(tmp_path / "ev")]
+        for raw in ("abc", "2_0", " 2", "+3", "\u0663"):  # int() reads all but the first
+            monkeypatch.setenv("TABMARK_WORKERS", raw)
+            assert cli.main(argv) == cli.EXIT_DATA, raw
+            assert f"TABMARK_WORKERS must be an integer, got {raw!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    def test_record_file_that_is_not_utf8_is_located(self, tmp_path, work, capsys, side):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps({"id": "s", "html": SIMPLE}).encode() + b'\n{"id": "\xff"}\n')
+        files = {"truth": work["truth"], "pred": work["truth"], side: str(bad)}
+        argv = ["eval", "--truth", files["truth"], "--pred", files["pred"], "--out",
+                str(tmp_path / "ev")]
         assert cli.main(argv) == cli.EXIT_DATA
-        assert "TABMARK_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}:2: bad JSON: 'utf-8' codec can't decode byte 0xff in position 8" in err
 
     def test_non_string_html_is_located(self, tmp_path, work, capsys):
         pred = tmp_path / "pred.jsonl"

@@ -862,13 +862,37 @@ class TestDecodeCache:
                 for blk, store in zip(m.html_blocks, cache.self_keys):
                     [(k, v, mask)] = [c[1:] for c in calls if c[0] is blk.self_attn.wq]
                     assert mask is None
-                    if end > 1:  # the first pass attends to its own new row
-                        assert np.shares_memory(k.data, store.k)
-                        assert np.shares_memory(v.data, store.v)
+                    assert np.shares_memory(k.data, store.k)
+                    assert np.shares_memory(v.data, store.v)
                 want = m.html_step(ids[:end], "ltor", feats)
                 for g, w in zip(got, want):
                     assert g.shape[0] == 1
                     assert np.abs(g.data - w.data[-1:]).max() <= 1e-12
+
+    def test_first_pass_over_many_rows_builds_no_dense_mask(self, monkeypatch):
+        # a first pass is entered like any later one, through gathered keys:
+        # a structure prefix past the window, and a content buffer with
+        # tokens in two cells, each equal the plain pass under no dense mask
+        m = TableModel(tiny_cfg(window=2, html_blocks=2))
+        rec = synth.generate(MICRO, seed=7)
+        cond, feats = conditioned(m, rec)
+        ids = [V.STRUCTURE.sos] + list(rec.structure_ids)
+        assert len(ids) > 3  # past the window
+        buffer, layout = content_buffer([[5, 6, 8], [7, 9]] + [[]] * (rec.n_cells() - 2))
+
+        def refuse(*args):
+            raise AssertionError("a cached pass built a dense mask")
+
+        with ad.no_grad():
+            want = [*m.html_step(ids, "ltor", feats), m.cell_step(buffer, layout, cond, feats)]
+            with monkeypatch.context() as mp:
+                mp.setattr(L, "build_local_mask", refuse)
+                mp.setattr(L, "build_cellwise_mask", refuse)
+                got = [*m.html_step(ids, "ltor", DecodeCache(feats)),
+                       m.cell_step(buffer, layout, cond, DecodeCache(feats))]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g.data - w.data).max() <= 1e-12
 
     def test_first_cached_pass_refuses_gradients(self):
         # the held memory keys carry no gradient, so not even a first pass may tape
@@ -941,10 +965,10 @@ def recording_step(model, plain, logs, scripts=None):
 
 
 def assert_gathered_equals_dense(model, rec, monkeypatch, scripts=None):
-    """Cached cell decoding builds the dense cell-wise mask for its first pass
-    only; every later pass attends through gathered keys.  Under both
-    schedules it equals the uncached dense-mask reference: same tokens and
-    pass counts, logits within 1e-12 at every scored row."""
+    """Cached cell decoding builds no dense cell-wise mask: every pass, the
+    first included, attends through gathered keys.  Under both schedules it
+    equals the uncached dense-mask reference: same tokens and pass counts,
+    logits within 1e-12 at every scored row."""
     cond, feats = conditioned(model, rec)
     for decode in (decode_cells_parallel, decode_cells_sequential):
         runs = {}
@@ -960,7 +984,7 @@ def assert_gathered_equals_dense(model, rec, monkeypatch, scripts=None):
         assert [c.ids for c in got.cells] == [c.ids for c in want.cells]
         assert got.passes == want.passes == len(got_logs) == len(want_logs)
         assert got.truncated == want.truncated
-        assert (got_dense, want_dense) == (min(got.passes, 1), want.passes)
+        assert (got_dense, want_dense) == (0, want.passes)
         for a, b in zip(got_logs, want_logs):
             assert a.shape == b.shape
             assert np.abs(a - b).max(initial=0.0) <= 1e-12

@@ -78,6 +78,14 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError):
             worker_count(0)
 
+    @pytest.mark.parametrize("raw", ["2_0", " 2", "+3", "\u0663"])
+    def test_worker_env_is_ascii_decimal(self, monkeypatch, raw):
+        # int() reads these as 20, 2, 3 and 3
+        monkeypatch.setenv("TABMARK_WORKERS", raw)
+        with pytest.raises(ValueError) as err:
+            worker_count()
+        assert str(err.value) == f"TABMARK_WORKERS must be an integer, got {raw!r}"
+
     def test_at_most_one_worker_per_pair(self, monkeypatch):
         # a fake pool records its size and maps in this process: no process starts
         sizes = []

@@ -73,7 +73,7 @@ class TestMasks:
         # change nothing when every row is sequence 0
         for n in range(1, 61):
             for w in range(n + 2):
-                want = L._row_rule_mask(np.zeros(n, dtype=np.int64), np.arange(n), w)
+                want = L.build_cellwise_mask(np.zeros(n, dtype=np.int64), np.arange(n), w)
                 got = L.build_local_mask(n, w)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, w)
 

@@ -91,6 +91,7 @@ class TestModelConfig:
         [
             ("d=1x", "config key d needs an integer, got '1x'"),
             ("window=", "config key window needs an integer, got ''"),
+            ("window=+3", r"config key window needs an integer, got '\+3'"),
             ("enc_channels=4,x,16", "enc_channels needs a list, each item an integer, got '4,x,16'"),
             ("enc_channels=4,8", r"3 positive channel counts, got \(4, 8\)"),
             ("enc_channels=0,8,16", r"3 positive channel counts, got \(0, 8, 16\)"),
