@@ -29,7 +29,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
-PRESET_NAMES = ("wide", "dense")
+PRESET_NAMES = tuple(synth.PRESETS)
 
 
 # -- configuration plumbing ----------------------------------------------------
@@ -143,9 +143,7 @@ def gen_spec(cfg: dict) -> synth.GenSpec:
 def dump_config(out_dir: str, resolved: dict) -> None:
     """The reproducibility record written alongside every run."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir, "config.json", resolved)
 
 
 def write_text(out_dir: str, name: str, text: str) -> None:

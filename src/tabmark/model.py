@@ -20,12 +20,13 @@ decoding; BufferLayout writes them):
   k, the k-th SEP cell k + 1 (the zero vector past the last cell).
 
 Incremental decoding (DecodeCache): both steps accept, in place of the image
-memory, a cache of what the decode has scored, and then compute and return
-only the rows it has not scored, the first pass's as any later pass's.
-Every row is keyed by (sequence, position) and sees the rows of its own
-sequence within the window, (s, max(0, p - window)) .. (s, p), plus, for
-s >= 1, the shared root (0, 0); a structure decode is sequence 0.  So no
-scored row changes as the buffer grows.  html_step takes the whole prefix,
+memory, one object holding what the decode has scored, every block's keys
+and values included, and then compute and return only the rows it has not
+scored, the first pass's as any later pass's.  Every row is keyed by
+(sequence, position) and sees the rows of its own sequence within the
+window, (s, max(0, p - window)) .. (s, p), plus, for s >= 1, the shared
+root (0, 0); a structure decode is sequence 0.  So no scored row changes
+as the buffer grows.  html_step takes the whole prefix,
 whose held tokens the cache keeps for html_step to check, and cell_step only
 the new rows, which the decode knows.  Only a full pass, on a plain memory
 Tensor, builds a dense mask (build_local_mask, build_cellwise_mask): the
@@ -374,7 +375,7 @@ class TableModel:
         if isinstance(img_feats, DecodeCache):
             if len(dirs) > 1:
                 raise ValueError("both students run in one pass only on the plain memory")
-            img_feats.claim(("structure", direction), len(self.html_blocks))
+            img_feats.claim(("structure", direction))
             held, tokens = img_feats.held, img_feats.tokens
             if n < held:
                 raise ValueError(f"buffer keeps {n} of the {held} scored positions")
@@ -450,7 +451,7 @@ class TableModel:
             raise ValueError(f"row {i} (sequence {seq[i]}, position {pos[i]}) is outside "
                              f"a buffer of {n_cells} cells and content_cap {cap}")
         if cache is not None:
-            cache.claim(("cell", n_cells), len(self.cell_blocks), ad.as_tensor(cond).data)
+            cache.claim(("cell", n_cells), ad.as_tensor(cond).data)
         decoder = (self.content_emb, self.cell_mix_tok, self.cell_mix_feat, self.cell_mix_b,
                    self.cell_blocks, self.cell_norm, self.content_out)
         return self._decode(
@@ -493,24 +494,6 @@ class TableModel:
         return logits, hidden
 
 
-class _MemoryKeys:
-    """One cross-attention block's keys and values of the image memory,
-    projected on the first call and reused after.  The keys are held as a
-    contiguous (heads, dh, m) K^T and handed out as its transposed view, so
-    each pass's q K^T reads them in the layout the product wants; the values
-    are held contiguous too."""
-
-    def __init__(self):
-        self.kv = None
-
-    def __call__(self, memory, project):
-        if self.kv is None:
-            k, v = project(memory)
-            kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
-            self.kv = Tensor(np.swapaxes(kt, 1, 2)), Tensor(np.ascontiguousarray(v.data))
-        return self.kv
-
-
 def _append(buf, size: int, rows: np.ndarray, axis: int = 0) -> np.ndarray:
     """buf with rows written after its first size entries along axis.  A
     buffer twice the needed length, holding those entries, replaces one that
@@ -528,42 +511,25 @@ def _append(buf, size: int, rows: np.ndarray, axis: int = 0) -> np.ndarray:
     return buf
 
 
-class _SelfKeys:
-    """One self-attention block's keys and values of the held rows, in the
-    order they were scored.  A pass writes its new rows after the `held`
-    ones and attends to the key rows in `order`; both come from the cache
-    (DecodeCache.past), which holds the new rows when the pass ends."""
-
-    def __init__(self):
-        self.k = self.v = None  # (heads, capacity, dh); rows [0, held) are held
-
-    def __call__(self, new_rows, project, held: int, order):
-        k, v = project(new_rows)
-        self.k = _append(self.k, held, k.data, axis=1)
-        self.v = _append(self.v, held, v.data, axis=1)
-        if isinstance(order, slice):  # a view, not a copy
-            return Tensor(self.k[:, order]), Tensor(self.v[:, order])
-        return tuple(Tensor(np.take(a, order, axis=1)) for a in (self.k, self.v))
-
-
 class DecodeCache:
     """What one decode has computed, so that each row is scored once.
 
     html_step and cell_step take it where they take the image memory.  It
-    holds each cross-attention block's memory keys and values, projected
-    once, the step's conditioning table, mixed once, and each block's
-    self-attention keys and values of every scored row, in buffers that
-    grow by doubling; a structure row's token too, for html_step's prefix
-    check.  One (sequence, position) -> row table keys the rows of both
-    decoders.  The cache alone counts the held rows and holds the current
-    pass's key order; each block's key store reads both from it (past).  A
-    row at (s, p) sees (s, max(0, p - window)) .. (s, p), and, for s >= 1,
-    the shared root (0, 0): a structure decode is sequence 0, and a cell
-    decode hands over its BufferLayout's keys.  No scored row can change as
-    the buffer grows, so a step computes and returns only the rows it has
-    not scored, with a fixed number of NumPy calls over them; the
-    bookkeeping loops over the new rows only.  Every pass, the first
-    included, attends through the keys its new rows see, under no dense mask:
+    holds the step's conditioning table, mixed once, and, in dicts keyed by
+    block and filled on the block's first pass, each cross-attention block's
+    memory keys and values, projected once, and each block's self-attention
+    keys and values of every scored row, in buffers that grow by doubling;
+    a structure row's token too, for html_step's prefix check.  One
+    (sequence, position) -> row table keys the rows of both decoders.  The
+    cache counts the held rows and holds the current pass's key order, and
+    its key methods read both (past).  A row at (s, p) sees (s, max(0, p -
+    window)) .. (s, p), and, for s >= 1, the shared root (0, 0): a structure
+    decode is sequence 0, and a cell decode hands over its BufferLayout's
+    keys.  No scored row can change as the buffer grows, so a step computes
+    and returns only the rows it has not scored, with a fixed number of
+    NumPy calls over them; the bookkeeping loops over the new rows only.
+    Every pass, the first included, attends through the keys its new rows
+    see, under no dense mask:
 
     - one new row of sequence 0 whose keys are one held range, as in every
       pass of a greedy structure decode, attends to a slice of the held
@@ -587,10 +553,10 @@ class DecodeCache:
         self.order = None  # key rows of the current pass
         self.tokens = np.zeros(0, dtype=np.int64)  # html_step's token per row, rows [0, held)
         self.table = np.full((0, 0), -1, dtype=np.int64)  # (sequence, position) -> row
-        self.self_keys: list[_SelfKeys] = []
-        self.memory_keys: list[_MemoryKeys] = []
+        self.self_keys = {}  # block -> K, V buffers (heads, capacity, dh), rows [0, held) held
+        self.memory_keys = {}  # block -> the memory's K, V Tensors
 
-    def claim(self, owner, n_blocks: int, cond=None) -> None:
+    def claim(self, owner, cond=None) -> None:
         """Take the cache for a step's rows, or check that it holds rows
         scored for the same owner and conditioning."""
         if ad.grad_enabled():
@@ -598,8 +564,6 @@ class DecodeCache:
         if self.owner is None:
             self.owner = owner
             self.cond = None if cond is None else np.array(cond)
-            self.self_keys = [_SelfKeys() for _ in range(n_blocks)]
-            self.memory_keys = [_MemoryKeys() for _ in range(n_blocks)]
         elif owner != self.owner:
             raise ValueError(f"cache holds rows scored for {self.owner}, not {owner}")
         elif cond is not None and not np.array_equal(cond, self.cond):
@@ -650,10 +614,31 @@ class DecodeCache:
         return mask
 
     def past(self, block: int):
-        """The key stores of one block, for DecoderBlock(past=...); the
-        self-attention store reads the held count and this pass's key order."""
-        keys = partial(self.self_keys[block], held=self.held, order=self.order)
-        return keys, self.memory_keys[block]
+        """One block's (self-attention, cross-attention) keys: DecoderBlock's past."""
+        return partial(self._self_keys, block), partial(self._memory_keys, block)
+
+    def _self_keys(self, block: int, new_rows, project):
+        """The block's keys and values of the pass's key rows, `order`, once
+        the new rows' are written after the held ones."""
+        k, v = project(new_rows)
+        k0, v0 = self.self_keys.get(block, (None, None))
+        k, v = self.self_keys[block] = (
+            _append(k0, self.held, k.data, axis=1), _append(v0, self.held, v.data, axis=1)
+        )
+        if isinstance(self.order, slice):  # a view, not a copy
+            return Tensor(k[:, self.order]), Tensor(v[:, self.order])
+        return tuple(Tensor(np.take(a, self.order, axis=1)) for a in (k, v))
+
+    def _memory_keys(self, block: int, memory, project):
+        """The block's memory keys and values, projected on its first pass:
+        the keys held as a contiguous (heads, dh, m) K^T, handed out as its
+        transposed view so q K^T reads them in its layout; V contiguous."""
+        if block not in self.memory_keys:
+            k, v = project(memory)
+            kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
+            v = np.ascontiguousarray(v.data)
+            self.memory_keys[block] = Tensor(np.swapaxes(kt, 1, 2)), Tensor(v)
+        return self.memory_keys[block]
 
     def finish(self, new: int) -> None:
         """Hold the pass's new rows: scored, they are never computed again."""

@@ -333,7 +333,10 @@ def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM as its (height, width) uint8 gray codes,
     an array of its own that does not hold the file's bytes.
 
-    Raises ValueError naming the file and the fault for anything else.
+    One whitespace byte ends the header, and exactly width x height pixel
+    bytes follow it: a header line ended by CR LF leaves the LF as a byte
+    past the pixels.  Raises ValueError naming the file and the fault for
+    anything else, byte counts included.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -366,6 +369,8 @@ def read_pgm(path: str) -> np.ndarray:
     have = max(len(data) - pos - 1, 0)  # one whitespace byte ends the header
     if have < w * h:
         raise ValueError(f"{path}: truncated, {have} pixel bytes for a {w}x{h} image")
+    if have > w * h:
+        raise ValueError(f"{path}: {have} pixel bytes for a {w}x{h} image, {have - w * h} too many")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos + 1)
     return pixels.reshape(h, w).copy()
 
@@ -509,9 +514,11 @@ def read_json_lines(path: str):
 
 
 def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
-    """The model's (side, side) float64 input in [0, 1]: pad a grayscale
-    image to square with paper white, then bilinear-resize it to the side.
-    A generated image at the model's side needs no resize.
+    """The model's (side, side) float64 input in [0, 1]: a grayscale image
+    padded to square with paper white, then bilinear-resized to the side.
+    A generated image at the model's side needs no resize.  The resize
+    takes its four taps from the image itself, paper white past its edge,
+    so it never builds the padded square: memory is O(side^2 + h * w).
 
     A uint8 image holds 8-bit gray codes, converted here as code / 255, the
     one place codes become floats.  Any other image holds pixels in [0, 1].
@@ -531,16 +538,23 @@ def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
             fault = "outside [0, 1]" if np.isfinite(img[r, c]) else "not a finite value"
             raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, {fault}")
     h, w = img.shape
-    s = max(h, w)
-    padded = np.full((s, s), PAPER / 255.0)
-    padded[:h, :w] = img
+    s, white = max(h, w), PAPER / 255.0
     if s == side:
+        padded = np.full((s, s), white)
+        padded[:h, :w] = img
         return padded
-    # bilinear sample at pixel centers
+    # bilinear sample at pixel centers of the padded square
     coords = (np.arange(side) + 0.5) * s / side - 0.5
     c0 = np.clip(np.floor(coords).astype(int), 0, s - 1)
     c1 = np.clip(c0 + 1, 0, s - 1)
     frac = np.clip(coords - c0, 0.0, 1.0)
-    top = padded[c0][:, c0] * (1 - frac)[None, :] + padded[c0][:, c1] * frac[None, :]
-    bot = padded[c1][:, c0] * (1 - frac)[None, :] + padded[c1][:, c1] * frac[None, :]
+
+    def taps(rows, cols):  # padded[rows][:, cols]
+        out = np.full((side, side), white)
+        r, c = rows < h, cols < w
+        out[np.ix_(r, c)] = img[np.ix_(rows[r], cols[c])]
+        return out
+
+    top = taps(c0, c0) * (1 - frac)[None, :] + taps(c0, c1) * frac[None, :]
+    bot = taps(c1, c0) * (1 - frac)[None, :] + taps(c1, c1) * frac[None, :]
     return top * (1 - frac)[:, None] + bot * frac[:, None]

@@ -9,7 +9,9 @@ earlier character draw (rng.choice over a NumPy array) and glyph scaling
 (np.kron), which the corpora of this repository were first generated with.
 AdamW steps with a new array for each intermediate and each weight update.
 backward_keeping_graph is Tensor.backward's walk without the freeing: the
-same visit order and sums, every node left as it was.
+same visit order and sums, every node left as it was.  prepare_image is
+synth.prepare_image as it first resized: through the padded square, built
+whole, of the image's longer side.
 """
 
 from __future__ import annotations
@@ -181,3 +183,41 @@ def generate(spec: synth.GenSpec, seed) -> synth.TableRecord:
         synth, "_render_text", _render_text
     ):
         return synth.generate(spec, seed)
+
+
+def prepare_image(image: np.ndarray, side: int) -> np.ndarray:
+    """The model's (side, side) float64 input in [0, 1]: pad a grayscale
+    image to square with paper white, then bilinear-resize it to the side.
+    A generated image at the model's side needs no resize.
+
+    A uint8 image holds 8-bit gray codes, converted here as code / 255, the
+    one place codes become floats.  Any other image holds pixels in [0, 1].
+    Raises ValueError for anything but a nonempty 2-D array, naming for a
+    float image the first pixel that is not finite or out of range.
+    """
+    img = np.asarray(image)
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError(f"image must be a nonempty 2-D grayscale array, got shape {img.shape}")
+    if img.dtype == np.uint8:
+        img = img.astype(np.float64) / 255.0  # every code is in range
+    else:
+        img = img.astype(np.float64, copy=False)
+        bad = np.argwhere(~((img >= 0.0) & (img <= 1.0)))  # NaN fails both comparisons
+        if bad.size:
+            r, c = bad[0]
+            fault = "outside [0, 1]" if np.isfinite(img[r, c]) else "not a finite value"
+            raise ValueError(f"image pixel ({r}, {c}) is {img[r, c]}, {fault}")
+    h, w = img.shape
+    s = max(h, w)
+    padded = np.full((s, s), synth.PAPER / 255.0)
+    padded[:h, :w] = img
+    if s == side:
+        return padded
+    # bilinear sample at pixel centers
+    coords = (np.arange(side) + 0.5) * s / side - 0.5
+    c0 = np.clip(np.floor(coords).astype(int), 0, s - 1)
+    c1 = np.clip(c0 + 1, 0, s - 1)
+    frac = np.clip(coords - c0, 0.0, 1.0)
+    top = padded[c0][:, c0] * (1 - frac)[None, :] + padded[c0][:, c1] * frac[None, :]
+    bot = padded[c1][:, c0] * (1 - frac)[None, :] + padded[c1][:, c1] * frac[None, :]
+    return top * (1 - frac)[:, None] + bot * frac[:, None]

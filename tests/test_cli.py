@@ -390,6 +390,21 @@ class TestInfer:
         assert code == cli.EXIT_DATA
         assert f"{image}: truncated" in capsys.readouterr().err
 
+    def test_header_ended_by_crlf_exits_data_error(self, tmp_path, work, capsys):
+        # the CR ends the header, so the LF would be read as the first pixel
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work["corpus"], corpus)
+        image = corpus / "table_00001.pgm"
+        image.write_bytes(image.read_bytes().replace(b"\n255\n", b"\n255\r\n", 1))
+        out = tmp_path / "pred"
+        code = cli.main(
+            ["infer", "--corpus", str(corpus), "--model", work["ckpt"], "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        ann = corpus / "annotations.jsonl"
+        err = capsys.readouterr().err
+        assert f"{ann}:2: {image}: 1025 pixel bytes for a 32x32 image, 1 too many" in err
+
     def test_out_of_range_pixels_exit_data_error(self, work, tmp_path, capsys, monkeypatch):
         # an image handed on as floats, unscaled, with 0..255 pixel values
         read = synth.read_pgm

@@ -2,6 +2,8 @@
 sequential cell decoding, and the recognize() pipeline."""
 
 import copy
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -696,9 +698,9 @@ class TestDecodeCache:
                     want = [t.data[-1] for t in m.html_step(ids, "ltor", copy.deepcopy(cache))]
                     for rows, changes in ((slice(0, first), False), (slice(first, first + 1), True)):
                         poisoned = copy.deepcopy(cache)
-                        for sk in poisoned.self_keys:
-                            sk.k[:, rows] = 1e6
-                            sk.v[:, rows] = 1e6
+                        for keys, values in poisoned.self_keys.values():
+                            keys[:, rows] = 1e6
+                            values[:, rows] = 1e6
                         got = m.html_step(ids, "ltor", poisoned)
                         same = [np.array_equal(t.data[-1], w) for t, w in zip(got, want)]
                         assert same == [not changes] * 2, (k, rows)
@@ -811,8 +813,9 @@ class TestDecodeCache:
             feats = m.encode_image(np.zeros((32, 32)))
             cache = DecodeCache(feats)
             m.html_step([V.STRUCTURE.sos], "ltor", cache)
-            for blk, held in zip(m.html_blocks, cache.memory_keys):
-                (k, v), (want_k, want_v) = held.kv, blk.cross_attn._project(feats)
+            assert sorted(cache.memory_keys) == [0, 1]
+            for i, blk in enumerate(m.html_blocks):
+                (k, v), (want_k, want_v) = cache.memory_keys[i], blk.cross_attn._project(feats)
                 assert np.swapaxes(k.data, 1, 2).flags.c_contiguous and v.data.flags.c_contiguous
                 assert np.array_equal(k.data, want_k.data) and np.array_equal(v.data, want_v.data)
 
@@ -859,11 +862,12 @@ class TestDecodeCache:
             for end in range(1, len(ids) + 1):
                 calls.clear()
                 got = m.html_step(ids[:end], "ltor", cache)
-                for blk, store in zip(m.html_blocks, cache.self_keys):
+                for i, blk in enumerate(m.html_blocks):
                     [(k, v, mask)] = [c[1:] for c in calls if c[0] is blk.self_attn.wq]
+                    held_k, held_v = cache.self_keys[i]
                     assert mask is None
-                    assert np.shares_memory(k.data, store.k)
-                    assert np.shares_memory(v.data, store.v)
+                    assert np.shares_memory(k.data, held_k)
+                    assert np.shares_memory(v.data, held_v)
                 want = m.html_step(ids[:end], "ltor", feats)
                 for g, w in zip(got, want):
                     assert g.shape[0] == 1
@@ -909,6 +913,30 @@ class TestDecodeCache:
             m.html_step([V.STRUCTURE.sos], "ltor", cache)
         with pytest.raises(ValueError, match="no_grad"):
             m.html_step([V.STRUCTURE.sos, V.STRUCTURE["<tr>"]], "ltor", cache)
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_every_cache_is_freed_without_the_cycle_collector(self, parallel, monkeypatch):
+        # a cache holds no reference cycle, so reference counting alone frees
+        # the structure cache and the cell cache once recognize returns
+        m = TableModel(tiny_cfg(struct_cap=8, content_cap=30))
+        force_structure(m, V.STRUCTURE["</td>"])  # 7 cells
+        refs = []
+
+        def tracked(memory):
+            cache = DecodeCache(memory)
+            refs.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(decoding, "DecodeCache", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            out = recognize(m, synth.generate(MICRO, seed=4).image, parallel=parallel)
+            dead = [ref() is None for ref in refs]
+        finally:
+            gc.enable()
+        assert out.passes["structure"] > 0 and out.passes["cell"] > 0
+        assert dead == [True, True]  # the structure cache, then the cell cache
 
 
 class TestScoredOnce:
@@ -1044,9 +1072,9 @@ class TestGatheredCellKeys:
                         if not pick.any():  # cell c holds no row yet
                             continue
                         poisoned = copy.deepcopy(cache)
-                        for sk in poisoned.self_keys:
-                            sk.k[:, held_rows[pick]] = 1e6
-                            sk.v[:, held_rows[pick]] = 1e6
+                        for keys, values in poisoned.self_keys.values():
+                            keys[:, held_rows[pick]] = 1e6
+                            values[:, held_rows[pick]] = 1e6
                         got = model.cell_step(cur, layout, cond, poisoned).data
                         assert np.array_equal(got[new], want[new]) != own, (t, c, own)
                     checked += new.size

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,9 @@ class TestCorpusIO:
             (b"P5\n4 2 # size", "header comment has no line end"),
             (b"P5\n0 4\n255\n", r"shape \(4, 0\) has a side below 1"),
             (b"P5\n-2 -2\n255\n" + bytes(4), r"shape \(-2, -2\) has a side below 1"),
+            # CR ends the header and the LF is read as a pixel byte: one too many
+            (b"P5\r\n4 2\r\n255\r\n" + bytes(8), "9 pixel bytes for a 4x2 image, 1 too many"),
+            (b"P5\n4 2\n255\n" + bytes(11), "11 pixel bytes for a 4x2 image, 3 too many"),
         ],
     )
     def test_bad_pgm_names_file_and_fault(self, tmp_path, content, fault):
@@ -384,6 +388,33 @@ class TestCorpusIO:
 
 
 class TestPrepareImage:
+    def test_equals_the_padded_square_reference_bitwise(self):
+        # shapes taller and wider than square, a longer side equal to the
+        # model side, below it (upsampling) and above it, as codes and floats
+        rng = np.random.default_rng(11)
+        shapes = [(40, 16), (16, 40), (32, 32), (32, 20), (9, 32), (7, 3), (1, 1), (1, 70)]
+        shapes += [tuple(rng.integers(1, 90, size=2)) for _ in range(12)]
+        for shape in shapes:
+            codes = rng.integers(0, 256, size=shape).astype(np.uint8)
+            for img in (codes, rng.random(shape)):
+                want = references.prepare_image(img, 32)
+                got = synth.prepare_image(img, 32)
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes()
+                ), (shape, img.dtype)
+
+    def test_long_thin_image_builds_no_padded_square(self):
+        # a 1 x 4000 strip padded to its square would hold 4000^2 floats (128 MB)
+        img = np.zeros((1, 4000), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = synth.prepare_image(img, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (128, 128)
+        assert peak < 4 * 2**20, peak
+
     @pytest.mark.parametrize("shape", [(16, 16), (24, 11)], ids=["square", "bilinear"])
     def test_codes_equal_their_floats_bitwise(self, shape):
         # all 256 codes, on an image taken at the model side as it is and on
